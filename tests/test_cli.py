@@ -1,10 +1,13 @@
 """The command-line shell: dispatch, documents, determinism, exit codes."""
 
+import argparse
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from chowstab.cli import read_poly_file, run
+from chowstab.cli import build_parser, read_poly_file, run
 from chowstab import FP, ParseError, parse_poly
 
 
@@ -247,3 +250,42 @@ def test_cli_reads_file(tmp_path, capsys):
     path.write_text("vars=3 field=q\nx0^3 + x1^3 + x2^3\n")
     doc = _json_result(capsys, ["mu", "--in", str(path), "--r", "-1,0,1"])
     assert doc["result"]["mu"] == -3
+
+
+# -- golden corpus -----------------------------------------------------------------
+#
+# tests/golden/*.json each hold one argv and the exact stdout, stderr and exit
+# code the CLI produced for it when the corpus was recorded.  Recorded output
+# is never regenerated: a new case gets a new file, recorded from the CLI
+# before the change it is meant to guard.  Cases marked with "python" are
+# rendered by argparse alone (usage errors, --help) and are compared only on
+# that Python version.
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = sorted(GOLDEN.glob("*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_CASES, ids=lambda p: p.stem)
+def test_golden_output(path, capsys, monkeypatch):
+    case = json.loads(path.read_text(encoding="utf-8"))
+    pinned = case.get("python")
+    if pinned is not None and pinned != "%d.%d" % sys.version_info[:2]:
+        pytest.skip(f"argparse text recorded with Python {pinned}")
+    monkeypatch.chdir(GOLDEN)  # --in paths are relative to the corpus
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
+    code, out, err = _capture(capsys, case["argv"])
+    assert out == case["stdout"]
+    assert err == case["stderr"]
+    assert code == case["exit"]
+
+
+def test_golden_corpus_covers_every_command():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    argvs = [json.loads(p.read_text(encoding="utf-8"))["argv"]
+             for p in GOLDEN_CASES]
+    for name in subparsers.choices:
+        runs = [argv for argv in argvs if name in argv and "--help" not in argv]
+        assert any("--json" in argv for argv in runs), name
+        assert any("--json" not in argv for argv in runs), name
+        assert [name, "--help"] in argvs, name
