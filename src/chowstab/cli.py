@@ -4,7 +4,8 @@ Every subcommand maps one-to-one onto a library operation and emits a
 certificate document, either human-readable or as deterministic JSON
 (sorted keys; by default timing_ms is 0 so identical inputs give
 byte-identical output, pass --timing to record wall time instead).
-Randomized commands require an explicit --seed.
+Randomized commands require an explicit --seed.  The subcommands are
+declared in one table, COMMANDS; the parser is built from it.
 
 Exit codes: 0 success, 2 usage/parse errors, 3 precondition violations.
 """
@@ -18,6 +19,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
 
 from .cycles import lift_support, multiple_cycle, sum_cycles, transfer_check
 from .discriminants import cyclic_critical_exponent, discriminant_binary, \
@@ -85,6 +87,14 @@ def _parse_int_csv(text: str) -> list:
         raise ParseError(f"expected comma-separated integers, got {text!r}")
 
 
+def _parse_int_tuple(text: str) -> tuple:
+    return tuple(_parse_int_csv(text))
+
+
+def _parse_weights(text: str) -> WeightVector:
+    return WeightVector(_parse_int_tuple(text))
+
+
 def _parse_rational(text: str):
     t = text.strip()
     if t == "inf":
@@ -142,56 +152,84 @@ def read_poly_file(path: str) -> tuple:
     return poly, domain
 
 
-def _load_poly(args, which: str = "poly") -> tuple:
-    """Fetch a polynomial from --poly/--nvars/--field or from --in FILE."""
-    text = getattr(args, which.replace("-", "_"), None)
-    path = getattr(args, "in_file" if which == "poly" else "in_file2", None)
-    if path is not None:
-        return read_poly_file(path)
-    if text is None:
-        raise ParseError(f"--{which} or --in is required")
+def _load_poly(args) -> tuple:
+    """Fetch the polynomial from --in FILE or from --poly/--nvars/--field."""
+    if args.in_file is not None:
+        return read_poly_file(args.in_file)
+    if args.poly is None:
+        raise ParseError("--poly or --in is required")
     if args.nvars is None:
         raise ParseError("--nvars is required with --poly")
     domain = domain_from_tag(args.field)
-    return parse_poly(text, args.nvars, domain), domain
+    return parse_poly(args.poly, args.nvars, domain), domain
 
 
-# -- command handlers -----------------------------------------------------------
+# -- the command table -----------------------------------------------------------
 
 
-def _cmd_mu(args):
-    poly, domain = _load_poly(args)
-    r = WeightVector(tuple(_parse_int_csv(args.r)))
-    value = mu_hypersurface(poly, r)
-    inputs = {"poly": poly, "field": domain_tag(domain), "r": r}
-    return inputs, {"mu": value}
+class Option(NamedTuple):
+    """One subcommand option: argparse flags and keywords, plus how run()
+    treats its value."""
+
+    flags: tuple
+    kwargs: dict
+    dest: str
+    convert: Optional[Callable]  # applied to the value before the command
+    signed: bool  # the value may start with '-' (a number or a polynomial)
 
 
-def _cmd_mu_bracket(args):
-    tuples = _parse_bracket_tuples(args.tuples)
-    bracket = BracketSupport.build(args.n, args.cycle_dim, args.d, tuples)
-    r = WeightVector(tuple(_parse_int_csv(args.r)))
-    value = mu_bracket(bracket, r)
-    inputs = {"n": args.n, "cycle_dim": args.cycle_dim, "d": args.d,
-              "tuples": sorted(map(list, bracket.tuples)), "r": r}
-    return inputs, {"mu": value}
+def _opt(*flags, convert=None, signed=False, **kwargs) -> Option:
+    dest = kwargs.get("dest", flags[0].lstrip("-").replace("-", "_"))
+    return Option(flags, kwargs, dest, convert, signed)
 
 
-def _cmd_lee_ratio(args):
-    poly, domain = _load_poly(args)
-    r = WeightVector(tuple(_parse_int_csv(args.r)))
-    res = lee_ratio(poly, r)
-    inputs = {"poly": poly, "field": domain_tag(domain), "r": r}
-    return inputs, {"w_f": res.w_f, "sum_wxI": res.sum_wxI,
-                    "ratio": res.ratio}
+class PerChart(NamedTuple):
+    """A local computation that --points repeats at further chart origins."""
+
+    key: str  # result field minimised over the charts
+    min_key: str  # name of that minimum in the result
+    help: Optional[str] = None  # help text of --points
 
 
-def _cmd_identity_check(args):
-    poly, domain = _load_poly(args)
-    r = WeightVector(tuple(_parse_int_csv(args.r)))
-    res = numerical_identity_check(poly, r)
-    inputs = {"poly": poly, "field": domain_tag(domain), "r": r}
-    return inputs, {"lhs": res.lhs, "mu": res.mu, "residual": res.residual}
+class Command(NamedTuple):
+    """One subcommand.
+
+    compute(args) returns (inputs, result) for the certificate document.
+    With poly set, the command takes --nvars/--field/--poly/--in, args.poly
+    is the loaded polynomial, and inputs gain its poly and field.  With
+    charts set, compute returns (inputs, at_chart) instead: at_chart maps a
+    local equation to its result, and runs at the origin or at each --points
+    chart origin.
+    """
+
+    name: str
+    help: str
+    compute: Callable
+    options: tuple = ()
+    poly: bool = False
+    charts: Optional[PerChart] = None
+
+
+_POLY_OPTIONS = (
+    _opt("--nvars", type=int, default=None,
+         help="number of variables (x0..x{N-1})"),
+    _opt("--field", default="q", help="coefficient field: q, z, or fp:P"),
+    _opt("--poly", default=None, signed=True, help="polynomial text"),
+    _opt("--in", dest="in_file", default=None,
+         help="polynomial file with a vars/field header"),
+)
+_N = _opt("--n", type=int, required=True)
+_D = _opt("--d", type=int, required=True)
+_R = _opt("--r", required=True, convert=_parse_weights, signed=True)
+_W = _opt("--w", required=True, convert=_parse_int_tuple, signed=True)
+
+
+def _options(cmd: Command) -> tuple:
+    options = (_POLY_OPTIONS if cmd.poly else ()) + cmd.options
+    if cmd.charts is not None:
+        options += (_opt("--points", default=None, signed=True,
+                         help=cmd.charts.help),)
+    return options
 
 
 def _certificate_result(cert: StabilityCertificate) -> dict:
@@ -212,215 +250,272 @@ def _certificate_result(cert: StabilityCertificate) -> dict:
     return result
 
 
-def _cmd_certify_torus(args):
-    poly, domain = _load_poly(args)
-    cert = torus_certificate(poly)
-    inputs = {"poly": poly, "field": domain_tag(domain)}
-    return inputs, _certificate_result(cert)
+def _mu_bracket(a):
+    # the support is checked before --r is read
+    bracket = BracketSupport.build(a.n, a.cycle_dim, a.d,
+                                   _parse_bracket_tuples(a.tuples))
+    r = _parse_weights(a.r)
+    return ({"n": a.n, "cycle_dim": a.cycle_dim, "d": a.d,
+             "tuples": sorted(map(list, bracket.tuples)), "r": r},
+            {"mu": mu_bracket(bracket, r)})
 
 
-def _cmd_search_destab(args):
-    poly, domain = _load_poly(args)
-    budget = SearchBudget(max_candidates=args.max_candidates,
-                          transvection_scalars=tuple(
-                              _parse_int_csv(args.scalars)),
-                          depth=args.depth, seed=args.seed)
-    cert = destab_search(poly, budget)
-    inputs = {"poly": poly, "field": domain_tag(domain),
-              "budget": {"max_candidates": budget.max_candidates,
-                         "scalars": list(budget.transvection_scalars),
-                         "depth": budget.depth, "seed": budget.seed}}
-    return inputs, _certificate_result(cert)
+def _lee_ratio(a):
+    res = lee_ratio(a.poly, a.r)
+    return {"r": a.r}, {"w_f": res.w_f, "sum_wxI": res.sum_wxI,
+                        "ratio": res.ratio}
 
 
-def _cmd_sum(args):
-    poly, domain = _load_poly(args)
-    if args.poly2 is None:
+def _identity_check(a):
+    res = numerical_identity_check(a.poly, a.r)
+    return {"r": a.r}, {"lhs": res.lhs, "mu": res.mu, "residual": res.residual}
+
+
+def _search_destab(a):
+    budget = SearchBudget(max_candidates=a.max_candidates,
+                          transvection_scalars=a.scalars,
+                          depth=a.depth, seed=a.seed)
+    cert = destab_search(a.poly, budget)
+    return ({"budget": {"max_candidates": budget.max_candidates,
+                        "scalars": list(budget.transvection_scalars),
+                        "depth": budget.depth, "seed": budget.seed}},
+            _certificate_result(cert))
+
+
+def _sum(a):
+    if a.poly2 is None:
         raise ParseError("--poly2 is required")
-    other = parse_poly(args.poly2, poly.nvars, poly.domain)
-    total = sum_cycles(poly, other)
-    inputs = {"poly": poly, "poly2": other, "field": domain_tag(domain)}
-    return inputs, {"poly": total, "degree": total.homogeneous_degree}
+    other = parse_poly(a.poly2, a.poly.nvars, a.poly.domain)
+    total = sum_cycles(a.poly, other)
+    return {"poly2": other}, {"poly": total, "degree": total.homogeneous_degree}
 
 
-def _cmd_power(args):
-    poly, domain = _load_poly(args)
-    power = multiple_cycle(poly, args.m)
-    inputs = {"poly": poly, "m": args.m, "field": domain_tag(domain)}
-    return inputs, {"poly": power, "degree": power.homogeneous_degree}
+def _power(a):
+    power = multiple_cycle(a.poly, a.m)
+    return {"m": a.m}, {"poly": power, "degree": power.homogeneous_degree}
 
 
-def _cmd_lift_check(args):
-    poly, domain = _load_poly(args)
-    report = transfer_check(poly, samples=args.samples, seed=args.seed)
-    lifted = lift_support(poly)
-    inputs = {"poly": poly, "field": domain_tag(domain),
-              "samples": args.samples, "seed": args.seed}
-    return inputs, {"lift": lifted,
-                    "support_preserved": report.support_preserved,
-                    "all_equal": report.all_equal,
-                    "mu_pairs": [list(p) for p in report.mu_pairs]}
+def _lift_check(a):
+    report = transfer_check(a.poly, samples=a.samples, seed=a.seed)
+    return ({"samples": a.samples, "seed": a.seed},
+            {"lift": lift_support(a.poly),
+             "support_preserved": report.support_preserved,
+             "all_equal": report.all_equal,
+             "mu_pairs": [list(p) for p in report.mu_pairs]})
 
 
-def _with_points(args, poly, single):
-    """Run a local computation at the origin of each supplied chart point."""
-    if not args.points:
-        return single(poly)
-    outcomes = []
-    for chunk in args.points.split(";"):
-        point = _parse_rational_csv(chunk)
-        shifted = poly.translate(point)
-        outcomes.append({"point": [Fraction(x) if x != INFINITY else x
-                                   for x in point],
-                         **single(shifted)})
-    return {"per_point": outcomes}
-
-
-def _cmd_lct_bound(args):
-    poly, domain = _load_poly(args)
-    w = tuple(_parse_int_csv(args.w))
-
-    def single(f):
-        return {"bound": lct_upper_bound(f, w)}
-
-    result = _with_points(args, poly, single)
-    if "per_point" in result:
-        bounds = [r["bound"] for r in result["per_point"]]
-        result["min_bound"] = min(bounds)
-    inputs = {"poly": poly, "field": domain_tag(domain), "w": list(w),
-              "points": args.points}
-    return inputs, result
-
-
-def _cmd_lct_optimize(args):
-    poly, domain = _load_poly(args)
-
-    def single(f):
-        best = lct_bound_optimize(f, args.max_weight)
+def _lct_optimize(a):
+    def at_chart(f):
+        best = lct_bound_optimize(f, a.max_weight)
         return {"best_bound": best.best_bound, "best_w": list(best.best_w)}
 
-    result = _with_points(args, poly, single)
-    if "per_point" in result:
-        result["min_bound"] = min(r["best_bound"]
-                                  for r in result["per_point"])
-    inputs = {"poly": poly, "field": domain_tag(domain),
-              "max_weight": args.max_weight, "points": args.points}
-    return inputs, result
+    return {"max_weight": a.max_weight}, at_chart
 
 
-def _cmd_blowup_a(args):
-    poly, domain = _load_poly(args)
-    w = tuple(_parse_int_csv(args.w))
-    c = _parse_rational(args.c)
-    value = blowup_discrepancy(poly, w, c)
-    inputs = {"poly": poly, "field": domain_tag(domain), "w": list(w),
-              "c": c}
-    return inputs, {"discrepancy": value}
-
-
-def _cmd_fpt(args):
-    poly, domain = _load_poly(args)
-
-    def single(f):
-        interval = fpt_interval(f, args.emax)
+def _fpt(a):
+    def at_chart(f):
+        interval = fpt_interval(f, a.emax)
         return {"lower": interval.lower, "upper": interval.upper,
                 "kind": interval.kind,
                 "nu_by_e": [list(x) for x in interval.provenance["nu_by_e"]]}
 
-    result = _with_points(args, poly, single)
-    if "per_point" in result:
-        result["min_lower"] = min(r["lower"] for r in result["per_point"])
-    inputs = {"poly": poly, "field": domain_tag(domain), "emax": args.emax,
-              "points": args.points}
+    return {"emax": a.emax}, at_chart
+
+
+def _lee_verdict(a):
+    verdict = lee_verdict(a.n, a.d, a.bound, a.bound_kind)
+    return ({"n": a.n, "d": a.d, "bound": a.bound,
+             "bound_kind": a.bound_kind},
+            {"verdict": verdict.outcome.value,
+             "threshold": verdict.threshold,
+             "boundary": verdict.boundary,
+             "note": "lower bound must be certified globally by the caller"})
+
+
+def _resultant(a):
+    domain = domain_from_tag(a.field)
+    p = parse_poly(a.p, 2, domain)
+    q = parse_poly(a.q, 2, domain)
+    value = sylvester_resultant(p, q, a.degp, a.degq)
+    return ({"p": p, "q": q, "field": domain_tag(domain),
+             "degp": a.degp, "degq": a.degq},
+            {"resultant": value})
+
+
+def _disc(a):
+    if a.mode == "generic":
+        poly = discriminant_binary(a.d, "generic")
+        return ({"d": a.d, "mode": "generic"},
+                {"discriminant": poly.to_string(var="a"),
+                 "variables": [f"a{i}" for i in range(a.d + 1)]})
+    if a.poly is None:
+        raise ParseError("numeric mode requires --poly")
+    domain = domain_from_tag(a.field)
+    form = parse_poly(a.poly, 2, domain)
+    value = discriminant_binary(a.d, "numeric", form)
+    return ({"d": a.d, "mode": "numeric", "poly": form,
+             "field": domain_tag(domain)},
+            {"discriminant": value})
+
+
+def _quartic_st(a):
+    if a.mod is not None:
+        domain = FP(a.mod)
+    else:
+        domain = domain_from_tag(a.field) if a.field else ZZ
+    res = quartic_st(a.coeffs, domain)
+    return ({"coeffs": [Fraction(c) for c in a.coeffs],
+             "field": domain_tag(domain)},
+            {"S": res.S, "T": res.T, "D": res.D})
+
+
+def _singular_points(a):
+    points = singular_locus_enumerate(a.poly, a.ext,
+                                      include_form=a.with_form)
+    return ({"ext": a.ext, "with_form": a.with_form},
+            {"points": [str(pt) for pt in points],
+             "count": len(points),
+             "semi_decision": True,
+             "note": ("empty output does not prove emptiness over "
+                      "the algebraic closure")})
+
+
+def _cyclic_exponent(a):
+    value = cyclic_critical_exponent(a.n, a.d)
+    return {"n": a.n, "d": a.d}, {"exponent": value, "degenerate": value == 0}
+
+
+# Library calls are made inside these functions, so a name patched on this
+# module (a test double, a tracer) is seen by every subcommand.
+COMMANDS = (
+    Command("mu", "numerical weight minimum of a form",
+            lambda a: ({"r": a.r}, {"mu": mu_hypersurface(a.poly, a.r)}),
+            (_opt("--r", required=True, convert=_parse_weights, signed=True,
+                  help="weights, e.g. '-1,0,1'"),),
+            poly=True),
+    Command("mu-bracket", "weight minimum of a bracket support", _mu_bracket,
+            (_N, _opt("--cycle-dim", type=int, required=True), _D,
+             _opt("--tuples", required=True,
+                  help="e.g. '{0,1},{0,1};{0,2},{1,3}'"),
+             _opt("--r", required=True, signed=True))),
+    Command("lee-ratio", "chart-weight ratio against d/(n+1)", _lee_ratio,
+            (_R,), poly=True),
+    Command("identity-check", "exact residual of the weight identity",
+            _identity_check, (_R,), poly=True),
+    Command("certify-torus", "exact diagonal-torus stability verdict",
+            lambda a: ({}, _certificate_result(torus_certificate(a.poly))),
+            poly=True),
+    Command("search-destab",
+            "bounded search for destabilizing coordinate changes",
+            _search_destab,
+            (_opt("--seed", type=int, required=True),
+             _opt("--max-candidates", type=int, default=2000),
+             _opt("--scalars", default="1,-1", convert=_parse_int_tuple,
+                  signed=True),
+             _opt("--depth", type=int, default=2)),
+            poly=True),
+    Command("sum", "Chow form of a sum (product)", _sum,
+            (_opt("--poly2", default=None, signed=True),), poly=True),
+    Command("power", "Chow form of a multiple (power)", _power,
+            (_opt("-m", type=int, required=True),), poly=True),
+    Command("lift-check",
+            "support-preserving lift and weight transfer check", _lift_check,
+            (_opt("--samples", type=int, default=100),
+             _opt("--seed", type=int, required=True)),
+            poly=True),
+    Command("lct-bound",
+            "weighted upper bound for the threshold at the origin",
+            lambda a: ({"w": list(a.w)},
+                       lambda f: {"bound": lct_upper_bound(f, a.w)}),
+            (_W,), poly=True,
+            charts=PerChart("bound", "min_bound",
+                            "extra chart origins, e.g. '0,0;1,2'")),
+    Command("lct-optimize", "best weighted bound over primitive weights",
+            _lct_optimize, (_opt("--max-weight", type=int, required=True),),
+            poly=True, charts=PerChart("best_bound", "min_bound")),
+    Command("blowup-a", "origin blow-up discrepancy of the weighted pair",
+            lambda a: ({"w": list(a.w), "c": a.c},
+                       {"discrepancy": blowup_discrepancy(a.poly, a.w, a.c)}),
+            (_W, _opt("--c", required=True, convert=_parse_rational,
+                      signed=True)),
+            poly=True),
+    Command("fpt", "F-pure threshold interval", _fpt,
+            (_opt("--emax", type=int, required=True),),
+            poly=True, charts=PerChart("lower", "min_lower")),
+    Command("lee-verdict",
+            "stability verdict from a certified threshold lower bound",
+            _lee_verdict,
+            (_N, _D,
+             _opt("--bound", required=True, convert=_parse_rational,
+                  signed=True),
+             _opt("--bound-kind", choices=["lct_lower", "fpt_lower"],
+                  default="lct_lower"))),
+    Command("resultant", "Sylvester resultant of two binary forms",
+            _resultant,
+            (_opt("--p", required=True, signed=True),
+             _opt("--q", required=True, signed=True),
+             _opt("--field", default="q"),
+             _opt("--degp", type=int, default=None),
+             _opt("--degq", type=int, default=None))),
+    Command("disc", "discriminant of a binary form", _disc,
+            (_D, _opt("--mode", choices=["generic", "numeric"],
+                      default="generic"),
+             _opt("--poly", default=None, signed=True),
+             _opt("--field", default="q"))),
+    Command("quartic-st", "S, T, and D = 4S^3 - T^2 of a quartic",
+            _quartic_st,
+            (_opt("--coeffs", required=True, convert=_parse_rational_csv,
+                  signed=True, help="a0,a1,a2,a3,a4"),
+             _opt("--mod", type=int, default=None),
+             _opt("--field", default=None))),
+    Command("smooth-binary", "exact smoothness of a binary form",
+            lambda a: ({}, {"smooth": smoothness_binary(a.poly)}), poly=True),
+    Command("singular-points", "critical points over F_{p^e} (semi-decision)",
+            _singular_points,
+            (_opt("--ext", type=int, default=1, help="extension degree e"),
+             _opt("--with-form", action="store_true",
+                  help="require the form itself to vanish too")),
+            poly=True),
+    Command("cyclic-exponent",
+            "exponent constraining critical points of the cyclic form",
+            _cyclic_exponent, (_N, _D)),
+)
+
+
+def _at_charts(points, poly: Poly, at_chart, charts: PerChart) -> dict:
+    """Run at_chart at the origin, or at each chart origin in --points."""
+    if not points:
+        return at_chart(poly)
+    outcomes = []
+    for chunk in points.split(";"):
+        point = _parse_rational_csv(chunk)
+        shifted = poly.translate(point)
+        outcomes.append({"point": [Fraction(x) if x != INFINITY else x
+                                   for x in point],
+                         **at_chart(shifted)})
+    return {"per_point": outcomes,
+            charts.min_key: min(r[charts.key] for r in outcomes)}
+
+
+def _execute(cmd: Command, args) -> tuple:
+    """The shared steps around compute: load, convert, run per chart."""
+    inputs = {}
+    if cmd.poly:
+        args.poly, domain = _load_poly(args)
+        inputs = {"poly": args.poly, "field": domain_tag(domain)}
+    for option in cmd.options:
+        if option.convert is not None:
+            setattr(args, option.dest,
+                    option.convert(getattr(args, option.dest)))
+    own_inputs, result = cmd.compute(args)
+    inputs.update(own_inputs)
+    if cmd.charts is not None:
+        inputs["points"] = args.points
+        result = _at_charts(args.points, args.poly, result, cmd.charts)
     return inputs, result
 
 
-def _cmd_lee_verdict(args):
-    bound = _parse_rational(args.bound)
-    verdict = lee_verdict(args.n, args.d, bound, args.bound_kind)
-    inputs = {"n": args.n, "d": args.d, "bound": bound,
-              "bound_kind": args.bound_kind}
-    return inputs, {"verdict": verdict.outcome.value,
-                    "threshold": verdict.threshold,
-                    "boundary": verdict.boundary,
-                    "note": "lower bound must be certified globally by the caller"}
-
-
-def _cmd_resultant(args):
-    domain = domain_from_tag(args.field)
-    p = parse_poly(args.p, 2, domain)
-    q = parse_poly(args.q, 2, domain)
-    value = sylvester_resultant(p, q, args.degp, args.degq)
-    inputs = {"p": p, "q": q, "field": domain_tag(domain),
-              "degp": args.degp, "degq": args.degq}
-    return inputs, {"resultant": value}
-
-
-def _cmd_disc(args):
-    if args.mode == "generic":
-        poly = discriminant_binary(args.d, "generic")
-        return ({"d": args.d, "mode": "generic"},
-                {"discriminant": poly.to_string(var="a"),
-                 "variables": [f"a{i}" for i in range(args.d + 1)]})
-    if args.poly is None:
-        raise ParseError("numeric mode requires --poly")
-    domain = domain_from_tag(args.field)
-    form = parse_poly(args.poly, 2, domain)
-    value = discriminant_binary(args.d, "numeric", form)
-    inputs = {"d": args.d, "mode": "numeric", "poly": form,
-              "field": domain_tag(domain)}
-    return inputs, {"discriminant": value}
-
-
-def _cmd_quartic_st(args):
-    coeffs = _parse_rational_csv(args.coeffs)
-    if args.mod is not None:
-        domain = FP(args.mod)
-    else:
-        domain = domain_from_tag(args.field) if args.field else ZZ
-    res = quartic_st(coeffs, domain)
-    inputs = {"coeffs": [Fraction(c) for c in coeffs],
-              "field": domain_tag(domain)}
-    return inputs, {"S": res.S, "T": res.T, "D": res.D}
-
-
-def _cmd_smooth_binary(args):
-    poly, domain = _load_poly(args)
-    inputs = {"poly": poly, "field": domain_tag(domain)}
-    return inputs, {"smooth": smoothness_binary(poly)}
-
-
-def _cmd_singular_points(args):
-    poly, domain = _load_poly(args)
-    points = singular_locus_enumerate(poly, args.ext,
-                                      include_form=args.with_form)
-    inputs = {"poly": poly, "field": domain_tag(domain), "ext": args.ext,
-              "with_form": args.with_form}
-    return inputs, {"points": [str(pt) for pt in points],
-                    "count": len(points),
-                    "semi_decision": True,
-                    "note": ("empty output does not prove emptiness over "
-                             "the algebraic closure")}
-
-
-def _cmd_cyclic_exponent(args):
-    value = cyclic_critical_exponent(args.n, args.d)
-    return ({"n": args.n, "d": args.d},
-            {"exponent": value, "degenerate": value == 0})
-
-
-# -- parser wiring ---------------------------------------------------------------
-
-
-def _add_poly_options(sub, file_ok=True):
-    sub.add_argument("--nvars", type=int, default=None,
-                     help="number of variables (x0..x{N-1})")
-    sub.add_argument("--field", default="q",
-                     help="coefficient field: q, z, or fp:P")
-    sub.add_argument("--poly", default=None, help="polynomial text")
-    if file_ok:
-        sub.add_argument("--in", dest="in_file", default=None,
-                         help="polynomial file with a vars/field header")
+# -- parser and dispatch -----------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,157 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--timing", action="store_true",
                         default=argparse.SUPPRESS)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    def new_command(name, **kwargs):
-        return commands.add_parser(name, parents=[common], **kwargs)
-
-    sub = new_command("mu", help="numerical weight minimum of a form")
-    _add_poly_options(sub)
-    sub.add_argument("--r", required=True, help="weights, e.g. '-1,0,1'")
-    sub.set_defaults(handler=_cmd_mu)
-
-    sub = new_command("mu-bracket",
-                              help="weight minimum of a bracket support")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--cycle-dim", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--tuples", required=True,
-                     help="e.g. '{0,1},{0,1};{0,2},{1,3}'")
-    sub.add_argument("--r", required=True)
-    sub.set_defaults(handler=_cmd_mu_bracket)
-
-    sub = new_command("lee-ratio",
-                              help="chart-weight ratio against d/(n+1)")
-    _add_poly_options(sub)
-    sub.add_argument("--r", required=True)
-    sub.set_defaults(handler=_cmd_lee_ratio)
-
-    sub = new_command("identity-check",
-                              help="exact residual of the weight identity")
-    _add_poly_options(sub)
-    sub.add_argument("--r", required=True)
-    sub.set_defaults(handler=_cmd_identity_check)
-
-    sub = new_command("certify-torus",
-                              help="exact diagonal-torus stability verdict")
-    _add_poly_options(sub)
-    sub.set_defaults(handler=_cmd_certify_torus)
-
-    sub = new_command("search-destab",
-                              help="bounded search for destabilizing "
-                                   "coordinate changes")
-    _add_poly_options(sub)
-    sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--max-candidates", type=int, default=2000)
-    sub.add_argument("--scalars", default="1,-1")
-    sub.add_argument("--depth", type=int, default=2)
-    sub.set_defaults(handler=_cmd_search_destab)
-
-    sub = new_command("sum", help="Chow form of a sum (product)")
-    _add_poly_options(sub)
-    sub.add_argument("--poly2", default=None)
-    sub.set_defaults(handler=_cmd_sum)
-
-    sub = new_command("power", help="Chow form of a multiple (power)")
-    _add_poly_options(sub)
-    sub.add_argument("-m", type=int, required=True)
-    sub.set_defaults(handler=_cmd_power)
-
-    sub = new_command("lift-check",
-                              help="support-preserving lift and weight "
-                                   "transfer check")
-    _add_poly_options(sub)
-    sub.add_argument("--samples", type=int, default=100)
-    sub.add_argument("--seed", type=int, required=True)
-    sub.set_defaults(handler=_cmd_lift_check)
-
-    sub = new_command("lct-bound",
-                              help="weighted upper bound for the threshold "
-                                   "at the origin")
-    _add_poly_options(sub)
-    sub.add_argument("--w", required=True)
-    sub.add_argument("--points", default=None,
-                     help="extra chart origins, e.g. '0,0;1,2'")
-    sub.set_defaults(handler=_cmd_lct_bound)
-
-    sub = new_command("lct-optimize",
-                              help="best weighted bound over primitive "
-                                   "weights")
-    _add_poly_options(sub)
-    sub.add_argument("--max-weight", type=int, required=True)
-    sub.add_argument("--points", default=None)
-    sub.set_defaults(handler=_cmd_lct_optimize)
-
-    sub = new_command("blowup-a",
-                              help="origin blow-up discrepancy of the "
-                                   "weighted pair")
-    _add_poly_options(sub)
-    sub.add_argument("--w", required=True)
-    sub.add_argument("--c", required=True)
-    sub.set_defaults(handler=_cmd_blowup_a)
-
-    sub = new_command("fpt", help="F-pure threshold interval")
-    _add_poly_options(sub)
-    sub.add_argument("--emax", type=int, required=True)
-    sub.add_argument("--points", default=None)
-    sub.set_defaults(handler=_cmd_fpt)
-
-    sub = new_command("lee-verdict",
-                              help="stability verdict from a certified "
-                                   "threshold lower bound")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--bound", required=True)
-    sub.add_argument("--bound-kind", choices=["lct_lower", "fpt_lower"],
-                     default="lct_lower")
-    sub.set_defaults(handler=_cmd_lee_verdict)
-
-    sub = new_command("resultant",
-                              help="Sylvester resultant of two binary forms")
-    sub.add_argument("--p", required=True)
-    sub.add_argument("--q", required=True)
-    sub.add_argument("--field", default="q")
-    sub.add_argument("--degp", type=int, default=None)
-    sub.add_argument("--degq", type=int, default=None)
-    sub.set_defaults(handler=_cmd_resultant)
-
-    sub = new_command("disc", help="discriminant of a binary form")
-    sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--mode", choices=["generic", "numeric"],
-                     default="generic")
-    sub.add_argument("--poly", default=None)
-    sub.add_argument("--field", default="q")
-    sub.set_defaults(handler=_cmd_disc)
-
-    sub = new_command("quartic-st",
-                              help="S, T, and D = 4S^3 - T^2 of a quartic")
-    sub.add_argument("--coeffs", required=True, help="a0,a1,a2,a3,a4")
-    sub.add_argument("--mod", type=int, default=None)
-    sub.add_argument("--field", default=None)
-    sub.set_defaults(handler=_cmd_quartic_st)
-
-    sub = new_command("smooth-binary",
-                              help="exact smoothness of a binary form")
-    _add_poly_options(sub)
-    sub.set_defaults(handler=_cmd_smooth_binary)
-
-    sub = new_command("singular-points",
-                              help="critical points over F_{p^e} "
-                                   "(semi-decision)")
-    _add_poly_options(sub)
-    sub.add_argument("--ext", type=int, default=1,
-                     help="extension degree e")
-    sub.add_argument("--with-form", action="store_true",
-                     help="require the form itself to vanish too")
-    sub.set_defaults(handler=_cmd_singular_points)
-
-    sub = new_command("cyclic-exponent",
-                              help="exponent constraining critical points "
-                                   "of the cyclic form")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-    sub.set_defaults(handler=_cmd_cyclic_exponent)
-
+    for cmd in COMMANDS:
+        sub = commands.add_parser(cmd.name, parents=[common], help=cmd.help)
+        for option in _options(cmd):
+            sub.add_argument(*option.flags, **option.kwargs)
+        sub.set_defaults(spec=cmd)
     return parser
 
 
@@ -604,8 +553,8 @@ def _render_human(doc: CertificateDocument) -> str:
 
 # Flags whose values may start with '-': merged into --flag=value so
 # argparse does not mistake them for options.
-_VALUE_FLAGS = {"--r", "--w", "--c", "--bound", "--scalars", "--coeffs",
-                "--points", "--p", "--q", "--poly", "--poly2"}
+_SIGNED_FLAGS = frozenset(option.flags[0] for cmd in COMMANDS
+                          for option in _options(cmd) if option.signed)
 
 
 def _merge_flag_values(argv) -> list:
@@ -613,7 +562,7 @@ def _merge_flag_values(argv) -> list:
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
+        if tok in _SIGNED_FLAGS and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -631,7 +580,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     start = time.perf_counter()
     try:
-        inputs, result = args.handler(args)
+        inputs, result = _execute(args.spec, args)
     except ParseError as exc:
         print(f"chowstab: parse error: {exc}", file=sys.stderr)
         return 2

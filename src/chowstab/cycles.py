@@ -79,7 +79,10 @@ def transfer_check(f: Poly, samples: int, seed: int, bound: int = 5) -> LiftRepo
 
     The minima agree whenever the supports agree, so all_equal is always
     true; a false value would mean the lift (or the weight code) is broken.
+    At least one sample is required, so all_equal is never vacuous.
     """
+    if samples < 1:
+        raise PreconditionError("samples must be at least 1")
     lifted = lift_support(f)
     if lifted.support() != f.support():
         raise PreconditionError("lift changed the support")

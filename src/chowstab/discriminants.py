@@ -17,51 +17,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionError
 from .fields import FP, QQ, ZZ, Domain, is_prime
-from .poly import Poly
-
-# -- fraction-free determinants ---------------------------------------------
-
-
-def _ring_divide(a, b, domain_kind: str):
-    if isinstance(a, Poly):
-        return a.exact_div(b)
-    if domain_kind == "ZZ":
-        q, r = divmod(a, b)
-        if r != 0:
-            raise PreconditionError("non-exact division in Bareiss step")
-        return q
-    return a / b
-
-
-def bareiss_det(rows, zero, one, domain_kind: str):
-    """Fraction-free determinant; entries may be ring elements or Poly."""
-    n = len(rows)
-    if n == 0:
-        return one
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if _is_zero_entry(m[k][k]):
-            swap = next((i for i in range(k + 1, n)
-                         if not _is_zero_entry(m[i][k])), None)
-            if swap is None:
-                return zero
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = _ring_divide(num, prev, domain_kind)
-            m[i][k] = zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _is_zero_entry(x) -> bool:
-    return x.is_zero() if isinstance(x, Poly) else x == 0
-
+from .poly import Poly, bareiss_det
 
 # -- Sylvester resultants -----------------------------------------------------
 

@@ -18,11 +18,10 @@ The printer emits graded-lexicographic order (x0 > x1 > ...) with explicit
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
-from .fields import FP, QQ, Domain
+from .fields import FP, Domain
 
 Exponent = tuple  # alias: exponent vectors are plain tuples of ints
 
@@ -530,35 +529,52 @@ def min_inner_product(f: Poly, r: Sequence[int]) -> int:
 # -- small exact linear algebra ------------------------------------------------
 
 
-def matrix_det(rows: Sequence[Sequence], domain: Domain):
-    """Exact determinant over the domain (Gaussian elimination in the field)."""
+def _ring_divide(a, b, domain_kind: str):
+    if isinstance(a, Poly):
+        return a.exact_div(b)
+    if domain_kind == "ZZ":
+        q, r = divmod(a, b)
+        if r != 0:
+            raise PreconditionError("non-exact division in Bareiss step")
+        return q
+    return a / b
+
+
+def _is_zero_entry(x) -> bool:
+    return x.is_zero() if isinstance(x, Poly) else x == 0
+
+
+def bareiss_det(rows, zero, one, domain_kind: str):
+    """Fraction-free determinant; entries may be ring elements or Poly."""
     n = len(rows)
-    if domain.kind == "FP":
-        work = [[domain.coerce(v) for v in row] for row in rows]
-        field = domain
-    else:
-        work = [[Fraction(v) if not isinstance(v, Fraction) else v
-                 for v in (domain.coerce(x) for x in row)] for row in rows]
-        field = QQ
-    det = field.one()
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return domain.zero()
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = (field.one() / work[col][col]) if field.kind == "FP" \
-            else 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] == 0:
-                continue
-            factor = work[r][col] * inv
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    if domain.kind == "ZZ":
-        return domain.coerce(det)
-    return det
+    if n == 0:
+        return one
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = one
+    for k in range(n - 1):
+        if _is_zero_entry(m[k][k]):
+            swap = next((i for i in range(k + 1, n)
+                         if not _is_zero_entry(m[i][k])), None)
+            if swap is None:
+                return zero
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = _ring_divide(num, prev, domain_kind)
+            m[i][k] = zero
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def matrix_det(rows: Sequence[Sequence], domain: Domain):
+    """Exact determinant over the domain, as an element of the domain."""
+    # coerce first: plain ints over F_p would otherwise divide as floats
+    work = [[domain.coerce(v) for v in row] for row in rows]
+    return bareiss_det(work, domain.zero(), domain.one(), domain.kind)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list:

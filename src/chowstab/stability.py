@@ -244,6 +244,56 @@ def numerical_identity_check(f: Poly, r) -> IdentityCheck:
 # -- exact linear programming certificates -------------------------------------
 
 
+def _box_lp(shifted, objective, with_t: bool, what: str) -> LpResult:
+    """max <objective, r> [+ t]  s.t.  <r, a> [- t] >= 0 for each shifted
+    point a, sum r = 0, |r_i| <= 1.
+
+    Standard form, columns in order: r = u - v, then t when with_t, one
+    surplus per point, then the box slacks p, q (u + p = 1, v + q = 1).
+    Rows in order: the points, the box rows (u_i, then v_i, for each i),
+    then sum u - sum v = 0.  Returns the optimum (t, or the objective value
+    without t) and r.
+    """
+    dim = len(objective)
+    m = len(shifted)
+    zero, one = Fraction(0), Fraction(1)
+    idx_t = 2 * dim
+    idx_s = idx_t + int(with_t)
+    idx_p = idx_s + m
+    idx_q = idx_p + dim
+    nvars = idx_q + dim
+    rows = []
+    for k, alpha in enumerate(shifted):
+        row = [zero] * nvars
+        for i in range(dim):
+            row[i] = alpha[i]
+            row[dim + i] = -alpha[i]
+        if with_t:
+            row[idx_t] = -one
+        row[idx_s + k] = -one
+        rows.append(row)
+    for i in range(dim):
+        for col, slack in ((i, idx_p + i), (dim + i, idx_q + i)):
+            row = [zero] * nvars
+            row[col] = one
+            row[slack] = one
+            rows.append(row)
+    rows.append([one] * dim + [-one] * dim + [zero] * (nvars - 2 * dim))
+    rhs = [zero] * m + [one] * (2 * dim) + [zero]
+    cost = [zero] * nvars
+    for i in range(dim):
+        weight = Fraction(objective[i])
+        cost[i] = -weight
+        cost[dim + i] = weight
+    if with_t:
+        cost[idx_t] = -one
+    status, x, value = solve_standard_lp(rows, rhs, cost)
+    if status != OPTIMAL:
+        raise PreconditionError(f"{what} LP reported {status}")
+    r_star = [x[i] - x[dim + i] for i in range(dim)]
+    return LpResult(x[idx_t] if with_t else -value, r_star)
+
+
 def lp_membership_maxmin(points, c) -> LpResult:
     """max t  s.t.  <r, p - c> >= t for all points p, sum r = 0, |r_i| <= 1.
 
@@ -258,92 +308,15 @@ def lp_membership_maxmin(points, c) -> LpResult:
     cvec = tuple(Fraction(x) for x in c)
     if len(cvec) != dim or any(len(p) != dim for p in pts):
         raise PreconditionError("inconsistent dimensions")
-    m = len(pts)
-    idx_u, idx_v, idx_t = 0, dim, 2 * dim
-    idx_s, idx_p = idx_t + 1, idx_t + 1 + m
-    idx_q = idx_p + dim
-    nvars = idx_q + dim
-    rows, rhs = [], []
-    for k, alpha in enumerate(pts):
-        row = [Fraction(0)] * nvars
-        for i in range(dim):
-            diff = alpha[i] - cvec[i]
-            row[idx_u + i] = diff
-            row[idx_v + i] = -diff
-        row[idx_t] = Fraction(-1)
-        row[idx_s + k] = Fraction(-1)
-        rows.append(row)
-        rhs.append(Fraction(0))
-    for i in range(dim):
-        row = [Fraction(0)] * nvars
-        row[idx_u + i] = Fraction(1)
-        row[idx_p + i] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-        row = [Fraction(0)] * nvars
-        row[idx_v + i] = Fraction(1)
-        row[idx_q + i] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-    row = [Fraction(0)] * nvars
-    for i in range(dim):
-        row[idx_u + i] = Fraction(1)
-        row[idx_v + i] = Fraction(-1)
-    rows.append(row)
-    rhs.append(Fraction(0))
-    cost = [Fraction(0)] * nvars
-    cost[idx_t] = Fraction(-1)
-    status, x, _ = solve_standard_lp(rows, rhs, cost)
-    if status != OPTIMAL:  # cannot happen: r=0, t=0 is feasible, t is bounded
-        raise PreconditionError(f"separation LP reported {status}")
-    r_star = [x[idx_u + i] - x[idx_v + i] for i in range(dim)]
-    return LpResult(x[idx_t], r_star)
+    shifted = [tuple(a - ci for a, ci in zip(p, cvec)) for p in pts]
+    # always optimal: r = 0, t = 0 is feasible and t is bounded
+    return _box_lp(shifted, [0] * dim, True, "separation")
 
 
 def _max_over_cone(points, objective) -> LpResult:
     """max objective.r over {sum r = 0, <r, p> >= 0 for all p, |r_i| <= 1}."""
-    dim = len(objective)
-    m = len(points)
-    idx_u, idx_v = 0, dim
-    idx_s, idx_p = 2 * dim, 2 * dim + m
-    idx_q = idx_p + dim
-    nvars = idx_q + dim
-    rows, rhs = [], []
-    for k, alpha in enumerate(points):
-        row = [Fraction(0)] * nvars
-        for i in range(dim):
-            entry = Fraction(alpha[i])
-            row[idx_u + i] = entry
-            row[idx_v + i] = -entry
-        row[idx_s + k] = Fraction(-1)
-        rows.append(row)
-        rhs.append(Fraction(0))
-    for i in range(dim):
-        row = [Fraction(0)] * nvars
-        row[idx_u + i] = Fraction(1)
-        row[idx_p + i] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-        row = [Fraction(0)] * nvars
-        row[idx_v + i] = Fraction(1)
-        row[idx_q + i] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-    row = [Fraction(0)] * nvars
-    for i in range(dim):
-        row[idx_u + i] = Fraction(1)
-        row[idx_v + i] = Fraction(-1)
-    rows.append(row)
-    rhs.append(Fraction(0))
-    cost = [Fraction(0)] * nvars
-    for i in range(dim):
-        cost[idx_u + i] = -Fraction(objective[i])
-        cost[idx_v + i] = Fraction(objective[i])
-    status, x, value = solve_standard_lp(rows, rhs, cost)
-    if status != OPTIMAL:
-        raise PreconditionError(f"cone LP reported {status}")
-    r_star = [x[idx_u + i] - x[idx_v + i] for i in range(dim)]
-    return LpResult(-value, r_star)
+    shifted = [tuple(Fraction(a) for a in p) for p in points]
+    return _box_lp(shifted, objective, False, "cone")
 
 
 def primitive_integer_vector(vec) -> tuple:

@@ -101,6 +101,18 @@ def test_lift_check_requires_seed(capsys):
     assert code == 2
 
 
+def test_lift_check_rejects_nonpositive_samples(capsys):
+    for samples in ("0", "-5"):
+        code, out, err = _capture(capsys, ["lift-check", "--nvars", "2",
+                                           "--field", "fp:3",
+                                           "--poly", "x0^2+x1^2",
+                                           "--samples", samples,
+                                           "--seed", "1"])
+        assert code == 3
+        assert out == ""
+        assert err == "chowstab: error: samples must be at least 1\n"
+
+
 def test_threshold_commands(capsys):
     doc = _json_result(capsys, ["lct-bound", "--nvars", "2", "--field", "q",
                                 "--poly", "x0^2+x1^3", "--w", "3,2"])

@@ -146,6 +146,15 @@ def test_transfer_check_all_equal():
     assert len(report.mu_pairs) == 100
 
 
+def test_transfer_check_rejects_empty_sample():
+    # with no samples all_equal would be true of nothing at all
+    f = parse_poly("x0^2 + x1^2", 2, FP(3))
+    for samples in (0, -5):
+        with pytest.raises(PreconditionError, match="samples"):
+            transfer_check(f, samples=samples, seed=1)
+    assert len(transfer_check(f, samples=1, seed=1).mu_pairs) == 1
+
+
 def test_transfer_check_power_stays_in_characteristic():
     # squaring happens per characteristic: the mod-2 square keeps transferring
     f = parse_poly("x0 + x1", 2, FP(2))

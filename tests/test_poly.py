@@ -8,7 +8,8 @@ import pytest
 from chowstab import FP, QQ, ZZ, ParseError, Poly, PreconditionError, \
     PrimeFieldElem, apply_matrix, euler_residual, is_prime, parse_poly, \
     partial_derivative, poly_mul, reduce_mod_p, support, weighted_multiplicity
-from chowstab.poly import identity_matrix, mat_mul
+from chowstab.poly import bareiss_det, identity_matrix, mat_mul, \
+    matrix_det
 
 from conftest import random_domain, random_homogeneous
 
@@ -347,3 +348,64 @@ def test_exact_div_rejects_non_divisor():
     g = parse_poly("x0 + 1", 2, ZZ)
     with pytest.raises(PreconditionError):
         f.exact_div(g)
+
+
+# -- determinants ----------------------------------------------------------------
+
+def _gaussian_det(rows, domain):
+    """The Gaussian-elimination determinant matrix_det used before it called
+    bareiss_det; kept as the oracle for it."""
+    n = len(rows)
+    if domain.kind == "FP":
+        work = [[domain.coerce(v) for v in row] for row in rows]
+        field = domain
+    else:
+        work = [[Fraction(v) if not isinstance(v, Fraction) else v
+                 for v in (domain.coerce(x) for x in row)] for row in rows]
+        field = QQ
+    det = field.one()
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            return domain.zero()
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det = det * work[col][col]
+        inv = (field.one() / work[col][col]) if field.kind == "FP" \
+            else 1 / work[col][col]
+        for r in range(col + 1, n):
+            if work[r][col] == 0:
+                continue
+            factor = work[r][col] * inv
+            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    if domain.kind == "ZZ":
+        return domain.coerce(det)
+    return det
+
+
+def test_matrix_det_matches_gaussian_oracle():
+    rng = random.Random(20240611)
+    domains = [ZZ, QQ, FP(2), FP(5), FP(7)]
+    for trial in range(1500):
+        domain = domains[trial % len(domains)]
+        n = rng.randint(0, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if domain.kind == "QQ":
+            rows = [[Fraction(v, rng.randint(1, 4)) for v in row]
+                    for row in rows]
+        if n > 1 and trial % 7 == 0:  # a repeated row: singular everywhere
+            rows[-1] = list(rows[0])
+        got = matrix_det(rows, domain)
+        want = _gaussian_det(rows, domain)
+        assert got == want and type(got) is type(want), (rows, domain)
+
+
+def test_bareiss_det_over_integers_and_polynomials():
+    assert bareiss_det([[2, 3], [4, 5]], 0, 1, "ZZ") == -2
+    assert bareiss_det([[0, 1], [1, 0]], 0, 1, "ZZ") == -1  # needs a swap
+    assert bareiss_det([], 0, 1, "ZZ") == 1
+    x = [Poly.variable(2, ZZ, i) for i in range(2)]
+    zero, one = Poly.zero(2, ZZ), Poly.constant(2, ZZ, 1)
+    det = bareiss_det([[x[0], x[1]], [x[1], x[0]]], zero, one, "ZZ")
+    assert det == x[0] * x[0] - x[1] * x[1]
