@@ -251,7 +251,8 @@ def _certificate_result(cert: StabilityCertificate) -> dict:
 
 
 def _mu_bracket(a):
-    # the support is checked before --r is read
+    # --r is read only after the support is built, so that a bad support is
+    # the error reported when both are bad
     bracket = BracketSupport.build(a.n, a.cycle_dim, a.d,
                                    _parse_bracket_tuples(a.tuples))
     r = _parse_weights(a.r)

@@ -244,9 +244,9 @@ def numerical_identity_check(f: Poly, r) -> IdentityCheck:
 # -- exact linear programming certificates -------------------------------------
 
 
-def _box_lp(shifted, objective, with_t: bool, what: str) -> LpResult:
-    """max <objective, r> [+ t]  s.t.  <r, a> [- t] >= 0 for each shifted
-    point a, sum r = 0, |r_i| <= 1.
+def _box_lp(points, objective, with_t: bool, what: str) -> LpResult:
+    """max <objective, r> [+ t]  s.t.  <r, a> [- t] >= 0 for each point a,
+    sum r = 0, |r_i| <= 1.
 
     Standard form, columns in order: r = u - v, then t when with_t, one
     surplus per point, then the box slacks p, q (u + p = 1, v + q = 1).
@@ -255,38 +255,36 @@ def _box_lp(shifted, objective, with_t: bool, what: str) -> LpResult:
     without t) and r.
     """
     dim = len(objective)
-    m = len(shifted)
-    zero, one = Fraction(0), Fraction(1)
+    m = len(points)
     idx_t = 2 * dim
     idx_s = idx_t + int(with_t)
     idx_p = idx_s + m
     idx_q = idx_p + dim
     nvars = idx_q + dim
     rows = []
-    for k, alpha in enumerate(shifted):
-        row = [zero] * nvars
+    for k, alpha in enumerate(points):
+        row = [0] * nvars
         for i in range(dim):
             row[i] = alpha[i]
             row[dim + i] = -alpha[i]
         if with_t:
-            row[idx_t] = -one
-        row[idx_s + k] = -one
+            row[idx_t] = -1
+        row[idx_s + k] = -1
         rows.append(row)
     for i in range(dim):
         for col, slack in ((i, idx_p + i), (dim + i, idx_q + i)):
-            row = [zero] * nvars
-            row[col] = one
-            row[slack] = one
+            row = [0] * nvars
+            row[col] = 1
+            row[slack] = 1
             rows.append(row)
-    rows.append([one] * dim + [-one] * dim + [zero] * (nvars - 2 * dim))
-    rhs = [zero] * m + [one] * (2 * dim) + [zero]
-    cost = [zero] * nvars
+    rows.append([1] * dim + [-1] * dim + [0] * (nvars - 2 * dim))
+    rhs = [0] * m + [1] * (2 * dim) + [0]
+    cost = [0] * nvars
     for i in range(dim):
-        weight = Fraction(objective[i])
-        cost[i] = -weight
-        cost[dim + i] = weight
+        cost[i] = -objective[i]
+        cost[dim + i] = objective[i]
     if with_t:
-        cost[idx_t] = -one
+        cost[idx_t] = -1
     status, x, value = solve_standard_lp(rows, rhs, cost)
     if status != OPTIMAL:
         raise PreconditionError(f"{what} LP reported {status}")
@@ -315,8 +313,7 @@ def lp_membership_maxmin(points, c) -> LpResult:
 
 def _max_over_cone(points, objective) -> LpResult:
     """max objective.r over {sum r = 0, <r, p> >= 0 for all p, |r_i| <= 1}."""
-    shifted = [tuple(Fraction(a) for a in p) for p in points]
-    return _box_lp(shifted, objective, False, "cone")
+    return _box_lp(points, objective, False, "cone")
 
 
 def primitive_integer_vector(vec) -> tuple:

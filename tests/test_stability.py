@@ -196,6 +196,45 @@ def test_lp_single_point_separation():
     assert sum(res.r_star) == 0
 
 
+def test_lp_tableau_layout(monkeypatch):
+    # Bland's rule picks pivots by column and row index, so the witness and
+    # lp_value depend on this exact layout: columns u, v, [t], s, p, q; rows
+    # the points, the box rows (u_i + p_i, v_i + q_i), then sum u = sum v.
+    from chowstab import stability
+    seen = []
+
+    def record(rows, rhs, cost):
+        seen.append(([[Fraction(v) for v in row] for row in rows],
+                     [Fraction(v) for v in rhs], [Fraction(v) for v in cost]))
+        return solve(rows, rhs, cost)
+
+    solve = stability.solve_standard_lp
+    monkeypatch.setattr(stability, "solve_standard_lp", record)
+    h = Fraction(1, 2)
+    lp_membership_maxmin([(1, 0), (0, 1)], (h, h))
+    #     u0  u1  v0  v1   t  s0  s1  p0  p1  q0  q1
+    assert seen.pop() == ([
+        [h, -h, -h, h, -1, -1, 0, 0, 0, 0, 0],
+        [-h, h, h, -h, -1, 0, -1, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0],
+        [0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1],
+        [1, 1, -1, -1, 0, 0, 0, 0, 0, 0, 0],
+    ], [0, 0, 1, 1, 1, 1, 0], [0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0])
+    stability._max_over_cone([(2, 0), (1, 1)], [0, -1])
+    #     u0  u1  v0  v1  s0  s1  p0  p1  q0  q1
+    assert seen.pop() == ([
+        [2, 0, -2, 0, -1, 0, 0, 0, 0, 0],
+        [1, 1, -1, -1, 0, -1, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0, 1, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0, 0, 1, 0],
+        [0, 1, 0, 0, 0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0, 0, 0, 1],
+        [1, 1, -1, -1, 0, 0, 0, 0, 0, 0],
+    ], [0, 0, 1, 1, 1, 1, 0], [0, 1, 0, -1, 0, 0, 0, 0, 0, 0])
+
+
 def test_lp_rejects_empty():
     with pytest.raises(PreconditionError):
         lp_membership_maxmin([], (1,))
