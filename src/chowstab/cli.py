@@ -95,14 +95,16 @@ def _parse_weights(text: str) -> WeightVector:
     return WeightVector(_parse_int_tuple(text))
 
 
-def _parse_rational(text: str):
-    t = text.strip()
-    if t == "inf":
-        return INFINITY
+def _parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(t)
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"expected a rational like 5/6, got {text!r}")
+
+
+def _parse_bound(text: str):
+    """A rational, or inf: a threshold bound may be infinite."""
+    return INFINITY if text.strip() == "inf" else _parse_rational(text)
 
 
 def _parse_rational_csv(text: str) -> list:
@@ -447,7 +449,7 @@ COMMANDS = (
             "stability verdict from a certified threshold lower bound",
             _lee_verdict,
             (_N, _D,
-             _opt("--bound", required=True, convert=_parse_rational,
+             _opt("--bound", required=True, convert=_parse_bound,
                   signed=True),
              _opt("--bound-kind", choices=["lct_lower", "fpt_lower"],
                   default="lct_lower"))),
@@ -491,9 +493,7 @@ def _at_charts(points, poly: Poly, at_chart, charts: PerChart) -> dict:
     for chunk in points.split(";"):
         point = _parse_rational_csv(chunk)
         shifted = poly.translate(point)
-        outcomes.append({"point": [Fraction(x) if x != INFINITY else x
-                                   for x in point],
-                         **at_chart(shifted)})
+        outcomes.append({"point": point, **at_chart(shifted)})
     return {"per_point": outcomes,
             charts.min_key: min(r[charts.key] for r in outcomes)}
 
@@ -556,6 +556,12 @@ def _render_human(doc: CertificateDocument) -> str:
 # argparse does not mistake them for options.
 _SIGNED_FLAGS = frozenset(option.flags[0] for cmd in COMMANDS
                           for option in _options(cmd) if option.signed)
+# Every option string of the parser (--json and --timing come from
+# build_parser, -h and --help from argparse); a signed flag is never merged
+# with one, so that argparse reports the flag's missing value.
+_OPTION_STRINGS = frozenset(
+    flag for cmd in COMMANDS for option in _options(cmd)
+    for flag in option.flags) | {"--json", "--timing", "-h", "--help"}
 
 
 def _merge_flag_values(argv) -> list:
@@ -563,7 +569,8 @@ def _merge_flag_values(argv) -> list:
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _SIGNED_FLAGS and i + 1 < len(argv):
+        if tok in _SIGNED_FLAGS and i + 1 < len(argv) \
+                and argv[i + 1] not in _OPTION_STRINGS:
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

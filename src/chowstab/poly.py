@@ -544,30 +544,63 @@ def _is_zero_entry(x) -> bool:
     return x.is_zero() if isinstance(x, Poly) else x == 0
 
 
+def _bareiss_eliminate(rows, zero, one, domain_kind: str,
+                       stop_at_zero_column: bool) -> tuple:
+    """Fraction-free forward elimination (Bareiss 1968) of a copy of rows.
+
+    Pivots run down the rows; a column with no nonzero entry at or below the
+    current row is skipped, or ends the run when stop_at_zero_column is set.
+    Returns (rank found, sign of the row swaps, last pivot); for a square
+    matrix of full rank the last pivot is the determinant up to that sign.
+    Each update divides exactly by the previous pivot, except in the first
+    step, where that pivot is still one.
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    sign = 1
+    prev = one
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        if _is_zero_entry(m[rank][col]):
+            swap = next((i for i in range(rank + 1, nrows)
+                         if not _is_zero_entry(m[i][col])), None)
+            if swap is None:
+                if stop_at_zero_column:
+                    break
+                continue
+            m[rank], m[swap] = m[swap], m[rank]
+            sign = -sign
+        pivot_row = m[rank]
+        pivot = pivot_row[col]
+        for i in range(rank + 1, nrows):
+            row = m[i]
+            lead = row[col]
+            for j in range(col + 1, ncols):
+                num = pivot * row[j] - lead * pivot_row[j]
+                row[j] = _ring_divide(num, prev, domain_kind) if rank else num
+            row[col] = zero
+        prev = pivot
+        rank += 1
+    return rank, sign, prev
+
+
 def bareiss_det(rows, zero, one, domain_kind: str):
     """Fraction-free determinant; entries may be ring elements or Poly."""
     n = len(rows)
     if n == 0:
         return one
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if _is_zero_entry(m[k][k]):
-            swap = next((i for i in range(k + 1, n)
-                         if not _is_zero_entry(m[i][k])), None)
-            if swap is None:
-                return zero
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = _ring_divide(num, prev, domain_kind)
-            m[i][k] = zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    rank, sign, pivot = _bareiss_eliminate(rows, zero, one, domain_kind, True)
+    if rank < n:
+        return zero
+    return pivot if sign == 1 else -pivot
+
+
+def integer_rank(rows) -> int:
+    """Rank of an integer matrix, by the same fraction-free elimination."""
+    return _bareiss_eliminate(rows, 0, 1, "ZZ", False)[0]
 
 
 def matrix_det(rows: Sequence[Sequence], domain: Domain):

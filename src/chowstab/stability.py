@@ -5,10 +5,13 @@ Conventions: a diagonal one-parameter subgroup is an integer weight vector
 r with sum 0; the numerical function mu is the *minimum* weight over the
 support, so mu > 0 witnesses instability and mu < 0 for every weight (and
 every coordinate change) means stable.  Torus certificates quantify over
-all diagonal weights at once via exact linear programming: instability is
-separation of the degree barycenter from the Newton polytope, and the
-stable/strictly-semistable split tests whether the non-negativity cone is
-trivial.
+all diagonal weights at once via exact linear programming (the
+Hilbert-Mumford criterion for the diagonal torus): one interior LP of n+1
+rows places the degree barycenter outside, on the boundary of, or inside
+the Newton polytope, which is the unstable / strictly semistable / stable
+verdict.  Only the first two carry a witness weight, and only they run
+the larger box-normalised LPs that find it: separation of the barycenter
+from the polytope, and a nonzero weight in the non-negativity cone.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import PreconditionError
 from .fields import Domain
-from .poly import Poly, apply_matrix, identity_matrix, mat_mul, min_inner_product
-from .simplex import OPTIMAL, solve_standard_lp
+from .poly import Poly, apply_matrix, identity_matrix, integer_rank, mat_mul, \
+    min_inner_product
+from .simplex import INFEASIBLE, OPTIMAL, solve_standard_lp
 
 
 @dataclass(frozen=True)
@@ -327,15 +331,55 @@ def primitive_integer_vector(vec) -> tuple:
     return tuple(i // g for i in ints)
 
 
+_OUTSIDE, _BOUNDARY, _INTERIOR = "outside", "boundary", "interior"
+
+
+def _interior_lp(points, d: int) -> Optional[Fraction]:
+    """max t  s.t.  sum_alpha (t + mu_alpha) * alpha = c, t >= 0, mu >= 0,
+    where c = (d/(n+1), ...) is the degree barycenter of points of degree d.
+
+    n+1 rows, scaled by n+1 so every entry is an int; columns t, then one
+    mu per point.  sum (t + mu_alpha) = 1 follows from the rows.  Returns
+    t*, or None when infeasible, i.e. when c is outside the convex hull.
+    """
+    n1 = len(points[0])
+    rows = [[n1 * sum(alpha[i] for alpha in points)]
+            + [n1 * alpha[i] for alpha in points] for i in range(n1)]
+    status, x, _ = solve_standard_lp(rows, [d] * n1, [-1] + [0] * len(points))
+    if status == INFEASIBLE:
+        return None
+    if status != OPTIMAL:  # impossible: t <= 1/len(points)
+        raise PreconditionError(f"interior LP reported {status}")
+    return x[0]
+
+
+def _barycenter_position(f: Poly) -> str:
+    """Where the degree barycenter c lies against the Newton polytope of f:
+    outside it, on its boundary, or in its interior.
+
+    t* > 0 in the interior LP puts positive weight on every exponent, so c
+    is in the relative interior, which is the interior when the exponents
+    span, rank{alpha} = n+1.
+    """
+    pts = sorted(f.terms)
+    t_star = _interior_lp(pts, f.homogeneous_degree)
+    if t_star is None:
+        return _OUTSIDE
+    if t_star > 0 and integer_rank(pts) == f.nvars:
+        return _INTERIOR
+    return _BOUNDARY
+
+
 def _torus_unstable_witness(f: Poly):
-    """(witness, mu, t_star) separating the barycenter, or (None, None, t_star)."""
+    """(witness, mu, t_star) separating the barycenter from the Newton
+    polytope; only called once _barycenter_position has placed it outside."""
     d = f.homogeneous_degree
     n1 = f.nvars
     pts = sorted(f.terms)
     c = [Fraction(d, n1)] * n1
     res = lp_membership_maxmin(pts, c)
-    if res.t_star <= 0:
-        return None, None, res.t_star
+    if res.t_star <= 0:  # impossible: the interior LP was infeasible
+        raise PreconditionError("separation LP found no witness outside")
     witness = WeightVector(primitive_integer_vector(res.r_star))
     mu = min_inner_product(f, witness.entries)
     if mu <= 0:  # impossible: the LP value scales to mu
@@ -343,19 +387,8 @@ def _torus_unstable_witness(f: Poly):
     return witness, mu, res.t_star
 
 
-def torus_certificate(f: Poly) -> StabilityCertificate:
-    """Exact stability verdict over all diagonal weights in these coordinates.
-
-    Unstable iff the degree barycenter separates from the Newton polytope;
-    otherwise stable iff the cone of weights with non-negative support
-    weight is trivial, and strictly semistable when a nonzero mu = 0 weight
-    exists.  Witnesses are primitive integer vectors.
-    """
-    _require_nonzero_homogeneous(f)
-    witness, mu, t_star = _torus_unstable_witness(f)
-    if witness is not None:
-        return StabilityCertificate(Verdict.UNSTABLE, witness_r=witness,
-                                    mu_value=mu, lp_value=t_star)
+def _semistable_witness(f: Poly) -> WeightVector:
+    """A nonzero weight with mu = 0, for a barycenter on the boundary."""
     pts = sorted(f.terms)
     n1 = f.nvars
     for i in range(n1):
@@ -365,13 +398,33 @@ def torus_certificate(f: Poly) -> StabilityCertificate:
             res = _max_over_cone(pts, objective)
             if res.t_star > 0:
                 witness = WeightVector(primitive_integer_vector(res.r_star))
-                mu = min_inner_product(f, witness.entries)
-                if mu != 0:
-                    raise PreconditionError("semistable witness failed verification")
-                return StabilityCertificate(Verdict.STRICTLY_SEMISTABLE,
-                                            witness_r=witness, mu_value=0,
-                                            lp_value=t_star)
-    return StabilityCertificate(Verdict.STABLE, lp_value=t_star)
+                if min_inner_product(f, witness.entries) != 0:
+                    raise PreconditionError(
+                        "semistable witness failed verification")
+                return witness
+    # impossible: a boundary barycenter has a supporting weight
+    raise PreconditionError("cone LPs found no weight on the boundary")
+
+
+def torus_certificate(f: Poly) -> StabilityCertificate:
+    """Exact stability verdict over all diagonal weights in these coordinates.
+
+    Unstable iff the degree barycenter lies outside the Newton polytope,
+    strictly semistable iff it lies on its boundary, stable iff inside.
+    Witnesses are primitive integer vectors: one separating the barycenter
+    when unstable, a nonzero mu = 0 weight when strictly semistable.
+    """
+    _require_nonzero_homogeneous(f)
+    position = _barycenter_position(f)
+    if position == _OUTSIDE:
+        witness, mu, t_star = _torus_unstable_witness(f)
+        return StabilityCertificate(Verdict.UNSTABLE, witness_r=witness,
+                                    mu_value=mu, lp_value=t_star)
+    if position == _BOUNDARY:
+        return StabilityCertificate(Verdict.STRICTLY_SEMISTABLE,
+                                    witness_r=_semistable_witness(f),
+                                    mu_value=0, lp_value=Fraction(0))
+    return StabilityCertificate(Verdict.STABLE, lp_value=Fraction(0))
 
 
 # -- bounded destabilization search ---------------------------------------------
@@ -468,14 +521,18 @@ def destab_search(f: Poly, budget: SearchBudget) -> StabilityCertificate:
     def candidates():
         yield identity_matrix(n1)
         gens = _generators(n1, budget, domain)
+        # each product is yielded as soon as it is made; a level is kept
+        # only while the next one still needs it as left factors
         level = [identity_matrix(n1)]
-        for _ in range(budget.depth):
+        for k in range(1, budget.depth + 1):
             nxt = []
             for left in level:
                 for g in gens:
-                    nxt.append(mat_mul(left, g))
+                    product = mat_mul(left, g)
+                    if k < budget.depth:
+                        nxt.append(product)
+                    yield product
             level = nxt
-            yield from level
         rng = random.Random(budget.seed)
         for _ in range(budget.max_candidates):
             yield _random_unimodular(rng, n1, budget)
@@ -492,8 +549,8 @@ def destab_search(f: Poly, budget: SearchBudget) -> StabilityCertificate:
         if sup in settled_supports:
             continue
         lp_calls += 1
-        witness, mu, t_star = _torus_unstable_witness(transformed)
-        if witness is not None:
+        if _barycenter_position(transformed) == _OUTSIDE:
+            witness, mu, t_star = _torus_unstable_witness(transformed)
             counters = SearchCounters(enumerated, tested, lp_calls)
             return StabilityCertificate(Verdict.UNSTABLE, witness_r=witness,
                                         witness_g=_matrix_key(g, domain),

@@ -1,4 +1,5 @@
-"""Independent cross-check of the exact separation LP against scipy.
+"""Independent cross-check of the exact separation and interior LPs
+against scipy.
 
 scipy only confirms the optimum numerically; the exact rational answer is
 the authority.  Skipped quietly when scipy is unavailable.
@@ -9,7 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from chowstab import lp_membership_maxmin
+from chowstab import lp_membership_maxmin, stability
+
+from conftest import random_exponent
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -52,3 +55,36 @@ def test_separation_lp_matches_scipy():
         exact = lp_membership_maxmin(points, center)
         approx = _scipy_maxmin(points, [float(x) for x in center])
         assert abs(float(exact.t_star) - approx) < 1e-7
+
+
+def _scipy_interior(points, d):
+    """max t s.t. sum_a (t + mu_a) a = c, t, mu >= 0; None if infeasible."""
+    dim = len(points[0])
+    a_eq = [[sum(p[i] for p in points)] + [p[i] for p in points]
+            for i in range(dim)]
+    b_eq = [d / dim] * dim
+    cost = [-1.0] + [0.0] * len(points)
+    res = scipy_opt.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                            method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0
+    return -res.fun
+
+
+def test_interior_lp_matches_scipy():
+    rng = random.Random(501)
+    infeasible = 0
+    for _ in range(60):
+        dim = rng.randrange(2, 6)
+        d = rng.randrange(1, 6)
+        points = sorted({random_exponent(rng, dim, d)
+                         for _ in range(rng.randrange(1, 11))})
+        exact = stability._interior_lp(points, d)
+        approx = _scipy_interior(points, d)
+        assert (exact is None) == (approx is None), points
+        if exact is None:
+            infeasible += 1
+        else:
+            assert abs(float(exact) - approx) < 1e-7
+    assert 0 < infeasible < 60
