@@ -519,23 +519,26 @@ def _execute(cmd: Command, args) -> tuple:
 # -- parser and dispatch -----------------------------------------------------------
 
 
+# Switches taken before or after the subcommand: (flag, help).
+_GLOBAL_FLAGS = (
+    ("--json", "emit the certificate document as JSON"),
+    ("--timing", "record wall time in timing_ms (breaks byte-for-byte "
+                 "determinism)"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chowstab",
         description="Exact stability certificates and singularity bounds "
                     "for projective hypersurfaces.")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the certificate document as JSON")
-    parser.add_argument("--timing", action="store_true",
-                        help="record wall time in timing_ms (breaks "
-                             "byte-for-byte determinism)")
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering a value parsed at the top level
+    # after the subcommand, SUPPRESS keeps the subparser from clobbering a
+    # value parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        default=argparse.SUPPRESS)
-    common.add_argument("--timing", action="store_true",
-                        default=argparse.SUPPRESS)
+    for flag, help_text in _GLOBAL_FLAGS:
+        parser.add_argument(flag, action="store_true", help=help_text)
+        common.add_argument(flag, action="store_true",
+                            default=argparse.SUPPRESS)
     commands = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
         sub = commands.add_parser(cmd.name, parents=[common], help=cmd.help)
@@ -556,12 +559,13 @@ def _render_human(doc: CertificateDocument) -> str:
 # argparse does not mistake them for options.
 _SIGNED_FLAGS = frozenset(option.flags[0] for cmd in COMMANDS
                           for option in _options(cmd) if option.signed)
-# Every option string of the parser (--json and --timing come from
-# build_parser, -h and --help from argparse); a signed flag is never merged
-# with one, so that argparse reports the flag's missing value.
+# Every option string of the parser (-h and --help are argparse's own); a
+# signed flag is never merged with one, so that argparse reports the flag's
+# missing value.
 _OPTION_STRINGS = frozenset(
     flag for cmd in COMMANDS for option in _options(cmd)
-    for flag in option.flags) | {"--json", "--timing", "-h", "--help"}
+    for flag in option.flags) \
+    | {flag for flag, _ in _GLOBAL_FLAGS} | {"-h", "--help"}
 
 
 def _merge_flag_values(argv) -> list:

@@ -75,7 +75,7 @@ def solve_standard_lp(rows: Sequence[Sequence], rhs: Sequence,
 def _run_simplex(tableau, basis, cost, allowed: int) -> str:
     """Bland-rule simplex on an equality tableau with rhs in the last column."""
     m = len(tableau)
-    width = len(tableau[0])
+    width = allowed + 1  # the rows are the allowed columns, then the rhs
     # Reduced-cost row, priced against the starting basis and updated per pivot.
     obj = []
     for j in range(width):

@@ -331,16 +331,14 @@ def primitive_integer_vector(vec) -> tuple:
     return tuple(i // g for i in ints)
 
 
-_OUTSIDE, _BOUNDARY, _INTERIOR = "outside", "boundary", "interior"
-
-
 def _interior_lp(points, d: int) -> Optional[Fraction]:
     """max t  s.t.  sum_alpha (t + mu_alpha) * alpha = c, t >= 0, mu >= 0,
     where c = (d/(n+1), ...) is the degree barycenter of points of degree d.
 
     n+1 rows, scaled by n+1 so every entry is an int; columns t, then one
-    mu per point.  sum (t + mu_alpha) = 1 follows from the rows.  Returns
-    t*, or None when infeasible, i.e. when c is outside the convex hull.
+    mu per point.  For d > 0, sum (t + mu_alpha) = 1 follows from the rows,
+    so the LP is bounded; d = 0 is left to the caller.  Returns t*, or None
+    when infeasible, i.e. when c is outside the convex hull.
     """
     n1 = len(points[0])
     rows = [[n1 * sum(alpha[i] for alpha in points)]
@@ -348,31 +346,37 @@ def _interior_lp(points, d: int) -> Optional[Fraction]:
     status, x, _ = solve_standard_lp(rows, [d] * n1, [-1] + [0] * len(points))
     if status == INFEASIBLE:
         return None
-    if status != OPTIMAL:  # impossible: t <= 1/len(points)
+    if status != OPTIMAL:  # impossible for d > 0: t <= 1/len(points)
         raise PreconditionError(f"interior LP reported {status}")
     return x[0]
 
 
-def _barycenter_position(f: Poly) -> str:
-    """Where the degree barycenter c lies against the Newton polytope of f:
-    outside it, on its boundary, or in its interior.
+def _torus_verdict(f: Poly) -> Verdict:
+    """The torus verdict from where the degree barycenter c lies against the
+    Newton polytope of f: outside it UNSTABLE, on its boundary
+    STRICTLY_SEMISTABLE, in its interior STABLE.
 
     t* > 0 in the interior LP puts positive weight on every exponent, so c
     is in the relative interior, which is the interior when the exponents
     span, rank{alpha} = n+1.
     """
+    d = f.homogeneous_degree
+    if d == 0:
+        # a constant: its one exponent is c, a point, which has an interior
+        # only in one variable; the interior LP would be unbounded
+        return Verdict.STABLE if f.nvars == 1 else Verdict.STRICTLY_SEMISTABLE
     pts = sorted(f.terms)
-    t_star = _interior_lp(pts, f.homogeneous_degree)
+    t_star = _interior_lp(pts, d)
     if t_star is None:
-        return _OUTSIDE
+        return Verdict.UNSTABLE
     if t_star > 0 and integer_rank(pts) == f.nvars:
-        return _INTERIOR
-    return _BOUNDARY
+        return Verdict.STABLE
+    return Verdict.STRICTLY_SEMISTABLE
 
 
 def _torus_unstable_witness(f: Poly):
     """(witness, mu, t_star) separating the barycenter from the Newton
-    polytope; only called once _barycenter_position has placed it outside."""
+    polytope; only called once _torus_verdict has placed it outside."""
     d = f.homogeneous_degree
     n1 = f.nvars
     pts = sorted(f.terms)
@@ -415,16 +419,15 @@ def torus_certificate(f: Poly) -> StabilityCertificate:
     when unstable, a nonzero mu = 0 weight when strictly semistable.
     """
     _require_nonzero_homogeneous(f)
-    position = _barycenter_position(f)
-    if position == _OUTSIDE:
+    verdict = _torus_verdict(f)
+    if verdict is Verdict.UNSTABLE:
         witness, mu, t_star = _torus_unstable_witness(f)
-        return StabilityCertificate(Verdict.UNSTABLE, witness_r=witness,
+        return StabilityCertificate(verdict, witness_r=witness,
                                     mu_value=mu, lp_value=t_star)
-    if position == _BOUNDARY:
-        return StabilityCertificate(Verdict.STRICTLY_SEMISTABLE,
-                                    witness_r=_semistable_witness(f),
+    if verdict is Verdict.STRICTLY_SEMISTABLE:
+        return StabilityCertificate(verdict, witness_r=_semistable_witness(f),
                                     mu_value=0, lp_value=Fraction(0))
-    return StabilityCertificate(Verdict.STABLE, lp_value=Fraction(0))
+    return StabilityCertificate(verdict, lp_value=Fraction(0))
 
 
 # -- bounded destabilization search ---------------------------------------------
@@ -549,7 +552,7 @@ def destab_search(f: Poly, budget: SearchBudget) -> StabilityCertificate:
         if sup in settled_supports:
             continue
         lp_calls += 1
-        if _barycenter_position(transformed) == _OUTSIDE:
+        if _torus_verdict(transformed) is Verdict.UNSTABLE:
             witness, mu, t_star = _torus_unstable_witness(transformed)
             counters = SearchCounters(enumerated, tested, lp_calls)
             return StabilityCertificate(Verdict.UNSTABLE, witness_r=witness,

@@ -2,8 +2,6 @@
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -211,24 +209,19 @@ def test_exit_code_usage(capsys):
     assert run(["mu", "--nvars", "3"]) == 2  # missing --r
 
 
-def _run_module(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    return subprocess.run([sys.executable, "-m", "chowstab"] + argv,
-                          capture_output=True, text=True, env=env, timeout=60)
-
-
-def test_infinite_rational_is_a_parse_error():
+def test_infinite_rational_is_a_parse_error(capsys):
     # only a threshold bound may be inf; elsewhere it used to reach
     # Fraction(inf) and die with an OverflowError traceback
-    proc = _run_module(["blowup-a", "--nvars", "2", "--poly", "x0^2+x1^3",
-                        "--w", "3,2", "--c", "inf"])
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("chowstab: parse error:")
-    assert "Traceback" not in proc.stderr
-    proc = _run_module(["--json", "lee-verdict", "--n", "2", "--d", "3",
-                        "--bound", "inf"])
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["inputs"]["bound"] == "inf"
+    code, out, err = _capture(capsys, ["blowup-a", "--nvars", "2", "--poly",
+                                       "x0^2+x1^3", "--w", "3,2", "--c",
+                                       "inf"])
+    assert code == 2
+    assert err.startswith("chowstab: parse error:")
+    assert "Traceback" not in err
+    assert out == ""
+    doc = _json_result(capsys, ["lee-verdict", "--n", "2", "--d", "3",
+                                "--bound", "inf"])
+    assert doc["inputs"]["bound"] == "inf"
 
 
 def test_signed_flag_does_not_take_an_option_as_value(capsys):

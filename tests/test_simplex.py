@@ -52,3 +52,14 @@ def test_degenerate_vertex_terminates():
     assert status == OPTIMAL
     assert value == Fraction(-4, 3)
     assert x[0] == x[1] == Fraction(2, 3)
+
+
+def test_rows_that_vanish():
+    # every row is 0 = 0, so phase 1 drops them all and phase 2 runs on an
+    # empty tableau
+    status, x, value = solve_standard_lp([[0, 0], [0, 0]], [0, 0], [1, 0])
+    assert (status, x, value) == (OPTIMAL, [0, 0], 0)
+    status, _, _ = solve_standard_lp([[0, 0]], [0], [-1, 0])
+    assert status == UNBOUNDED
+    status, _, _ = solve_standard_lp([], [], [-1])
+    assert status == UNBOUNDED

@@ -189,12 +189,32 @@ def test_destab_search_matches_old_path():
 # -- the interior LP ------------------------------------------------------------
 
 def test_interior_lp_positions():
-    position = stability._barycenter_position
-    assert position(parse_poly("x0^3+x1^3+x2^3", 3, QQ)) == "interior"
-    assert position(parse_poly("x0*x1*x2", 3, QQ)) == "boundary"
+    verdict = stability._torus_verdict
+    assert verdict(parse_poly("x0^3+x1^3+x2^3", 3, QQ)) is Verdict.STABLE
+    assert verdict(parse_poly("x0*x1*x2", 3, QQ)) \
+        is Verdict.STRICTLY_SEMISTABLE
     # c = (1,1,1) is the midpoint of a segment: t* > 0 but rank 2
-    assert position(parse_poly("x0^2*x1 + x1*x2^2", 3, QQ)) == "boundary"
-    assert position(parse_poly("x1^2*x2 - x0^3", 3, QQ)) == "outside"
+    assert verdict(parse_poly("x0^2*x1 + x1*x2^2", 3, QQ)) \
+        is Verdict.STRICTLY_SEMISTABLE
+    assert verdict(parse_poly("x1^2*x2 - x0^3", 3, QQ)) is Verdict.UNSTABLE
+
+
+@pytest.mark.parametrize("n1", [1, 2, 3, 4])
+@pytest.mark.parametrize("domain", [QQ, FP(5)], ids=["QQ", "F5"])
+def test_constant_forms_match_old_path(n1, domain):
+    # degree 0: the one exponent is the barycenter itself, and the interior
+    # LP, whose rows all vanish, would be unbounded
+    f = Poly(n1, domain, {(0,) * n1: domain.coerce(3)})
+    got = torus_certificate(f)
+    assert _cert_tuple(got) == _cert_tuple(oracle_torus_certificate(f))
+    assert got.verdict is (Verdict.STABLE if n1 == 1
+                           else Verdict.STRICTLY_SEMISTABLE)
+    # one variable has no seeded stage: it draws two distinct coordinates
+    budget = SearchBudget(max_candidates=5 if n1 > 1 else 0, depth=1,
+                          seed=n1)
+    got = destab_search(f, budget)
+    assert got.verdict is Verdict.UNKNOWN
+    assert _cert_tuple(got) == _cert_tuple(oracle_destab_search(f, budget))
 
 
 def test_interior_lp_tableau(monkeypatch):
@@ -207,7 +227,7 @@ def test_interior_lp_tableau(monkeypatch):
 
     solve = stability.solve_standard_lp
     monkeypatch.setattr(stability, "solve_standard_lp", record)
-    stability._barycenter_position(parse_poly("x0^2 + x0*x1", 2, QQ))
+    stability._torus_verdict(parse_poly("x0^2 + x0*x1", 2, QQ))
     assert seen == [([[6, 2, 4], [2, 2, 0]], [2, 2], [-1, 0, 0])]
 
 
