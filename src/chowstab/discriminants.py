@@ -397,7 +397,8 @@ class ExtensionField:
         for coeffs in product(range(self.p), repeat=self.e):
             yield coeffs
 
-    def format(self, a: tuple) -> str:
+    @staticmethod
+    def format(a: tuple) -> str:
         if not any(a):
             return "0"
         parts = []
@@ -422,8 +423,8 @@ class ProjPoint:
     e: int
 
     def __str__(self):
-        field = ExtensionField(self.p, self.e)
-        return "(" + " : ".join(field.format(c) for c in self.coords) + ")"
+        return "(" + " : ".join(ExtensionField.format(c)
+                                for c in self.coords) + ")"
 
 
 def singular_locus_enumerate(f: Poly, e: int, include_form: bool = False,

@@ -2,8 +2,11 @@
 
 Terms live in a dict mapping exponent tuples (one entry per variable) to
 nonzero coefficients.  Values are immutable after construction: every
-operation builds a new polynomial.  Calculus is characteristic-aware, so a
-partial derivative silently kills terms whose exponent vanishes mod p.
+operation builds a new polynomial.  Terms are normalised in two places:
+``_collect`` alone sums equal exponents and drops vanishing sums, and the
+``Poly`` constructor checks exponents, coerces coefficients, drops zeros.
+Calculus is characteristic-aware, so a partial derivative silently kills
+terms whose exponent vanishes mod p.
 
 The text grammar (whitespace-insensitive):
 
@@ -18,12 +21,42 @@ The printer emits graded-lexicographic order (x0 > x1 > ...) with explicit
 
 from __future__ import annotations
 
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
 from .fields import FP, Domain
 
 Exponent = tuple  # alias: exponent vectors are plain tuples of ints
+
+
+def _grlex(e: tuple) -> tuple:
+    """Sort key of the graded-lexicographic order (x0 > x1 > ...)."""
+    return sum(e), e
+
+
+def _collect(pairs, terms=None) -> dict:
+    """Add (exponent, coefficient) pairs into terms, a new dict by default.
+
+    Repeated exponents are summed and a sum that reaches zero is dropped, so
+    the dict never holds a zero coefficient.
+    """
+    if terms is None:
+        terms = {}
+    for e, c in pairs:
+        s = terms.get(e)
+        if s is not None:
+            c = s + c
+        if c == 0:
+            terms.pop(e, None)
+        else:
+            terms[e] = c
+    return terms
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    return _collect((tuple(map(add, e1, e2)), c1 * c2)
+                    for e1, c1 in a.items() for e2, c2 in b.items())
 
 
 class Poly:
@@ -44,14 +77,8 @@ class Poly:
                 if any(e < 0 or not isinstance(e, int) for e in exp):
                     raise PreconditionError(f"bad exponent {exp}")
                 c = domain.coerce(coeff)
-                if c == 0:
-                    continue
-                if exp in clean:
-                    c = clean[exp] + c
-                    if c == 0:
-                        del clean[exp]
-                        continue
-                clean[exp] = c
+                if c != 0:
+                    clean[exp] = c
         self.nvars = nvars
         self.domain = domain
         self.terms = clean
@@ -115,37 +142,23 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp)
-            s = c if s is None else s + c
-            if s == 0:
-                terms.pop(exp, None)
-            else:
-                terms[exp] = s
-        return Poly(self.nvars, self.domain, terms)
+        return Poly(self.nvars, self.domain,
+                    _collect(other.terms.items(), dict(self.terms)))
 
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, self.domain,
                     {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check_compatible(other)
+        negated = ((e, -c) for e, c in other.terms.items())
+        return Poly(self.nvars, self.domain,
+                    _collect(negated, dict(self.terms)))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = terms.get(e)
-                s = c if s is None else s + c
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return Poly(self.nvars, self.domain, terms)
+        return Poly(self.nvars, self.domain,
+                    _mul_terms(self.terms, other.terms))
 
     def __pow__(self, m: int) -> "Poly":
         if m < 0:
@@ -163,36 +176,25 @@ class Poly:
 
     def scale(self, value) -> "Poly":
         c0 = self.domain.coerce(value)
-        if c0 == 0:
-            return Poly.zero(self.nvars, self.domain)
         return Poly(self.nvars, self.domain,
                     {e: c0 * c for e, c in self.terms.items()})
 
     def shift_by_variable(self, i: int) -> "Poly":
         """Multiply by the variable x_i (exponent shift, no coefficient work)."""
-        terms = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[i] += 1
-            terms[tuple(e2)] = c
-        return Poly(self.nvars, self.domain, terms)
+        return Poly(self.nvars, self.domain,
+                    {e[:i] + (e[i] + 1,) + e[i + 1:]: c
+                     for e, c in self.terms.items()})
 
     # -- calculus ------------------------------------------------------------
 
     def partial(self, i: int) -> "Poly":
         if not 0 <= i < self.nvars:
             raise PreconditionError(f"variable index {i} out of range")
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            c2 = c * e[i]
-            if c2 == 0:  # exponent divisible by the characteristic
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            terms[tuple(e2)] = c2
-        return Poly(self.nvars, self.domain, terms)
+        # a term whose exponent the characteristic divides gets coefficient
+        # zero here, which the constructor drops
+        return Poly(self.nvars, self.domain,
+                    {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                     for e, c in self.terms.items() if e[i]})
 
     # -- substitution ----------------------------------------------------------
 
@@ -204,56 +206,44 @@ class Poly:
             if im.nvars != images[0].nvars or im.domain != self.domain:
                 raise PreconditionError("substitution images are incompatible")
         out_nvars = images[0].nvars
-        powers: list[dict] = [dict() for _ in range(self.nvars)]
+        # term dicts, not Polys: every product below is collected only once
+        powers = [{1: im.terms} for im in images]
 
-        def power(i: int, k: int) -> "Poly":
+        def power(i: int, k: int) -> dict:
             cached = powers[i].get(k)
             if cached is None:
-                if k == 0:
-                    cached = Poly.constant(out_nvars, self.domain, 1)
-                elif k == 1:
-                    cached = images[i]
-                else:
-                    cached = power(i, k // 2) * power(i, k - k // 2)
+                cached = _mul_terms(power(i, k // 2), power(i, k - k // 2))
                 powers[i][k] = cached
             return cached
 
-        acc = Poly.zero(out_nvars, self.domain)
-        for e, c in self.terms.items():
-            prod = Poly.constant(out_nvars, self.domain, c)
-            for i, k in enumerate(e):
-                if k:
-                    prod = prod * power(i, k)
-            acc = acc + prod
-        return acc
+        def image_terms():
+            origin = (0,) * out_nvars
+            for e, c in self.terms.items():
+                prod = {origin: c}
+                for i, k in enumerate(e):
+                    if k:
+                        prod = _mul_terms(prod, power(i, k))
+                yield from prod.items()
+
+        return Poly(out_nvars, self.domain, _collect(image_terms()))
 
     def dehomogenize(self, i: int = 0) -> "Poly":
         """Set x_i = 1 and drop the variable (chart of the projective space)."""
         if self.nvars < 2:
             raise PreconditionError("need at least two variables")
-        terms: dict = {}
-        for e, c in self.terms.items():
-            e2 = e[:i] + e[i + 1:]
-            s = terms.get(e2)
-            s = c if s is None else s + c
-            if s == 0:
-                terms.pop(e2, None)
-            else:
-                terms[e2] = s
-        return Poly(self.nvars - 1, self.domain, terms)
+        return Poly(self.nvars - 1, self.domain,
+                    _collect((e[:i] + e[i + 1:], c)
+                             for e, c in self.terms.items()))
 
     def translate(self, point: Sequence) -> "Poly":
         """Shift the origin: substitute x_i + point[i] for x_i."""
         if len(point) != self.nvars:
             raise PreconditionError("point length must equal nvars")
-        images = []
-        for i, a in enumerate(point):
-            im = Poly.variable(self.nvars, self.domain, i)
-            a = self.domain.coerce(a)
-            if a != 0:
-                im = im + Poly.constant(self.nvars, self.domain, a)
-            images.append(im)
-        return self.subs(images)
+        origin = (0,) * self.nvars
+        return self.subs([Poly(self.nvars, self.domain,
+                               {origin[:i] + (1,) + origin[i + 1:]: 1,
+                                origin: a})
+                          for i, a in enumerate(point)])
 
     # -- exact division (used by fraction-free determinants) -------------------
 
@@ -262,25 +252,19 @@ class Poly:
         self._check_compatible(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        remainder = self
+        remainder = dict(self.terms)
         quotient: dict = {}
-        div_lead = max(divisor.terms, key=lambda e: (sum(e), e))
+        div_lead = max(divisor.terms, key=_grlex)
         div_lc = divisor.terms[div_lead]
-        while not remainder.is_zero():
-            lead = max(remainder.terms, key=lambda e: (sum(e), e))
+        while remainder:
+            lead = max(remainder, key=_grlex)
             diff = tuple(a - b for a, b in zip(lead, div_lead))
             if any(d < 0 for d in diff):
                 raise PreconditionError("division is not exact")
-            lc = remainder.terms[lead]
-            if self.domain.kind == "ZZ":
-                q, r = divmod(lc, div_lc)
-                if r != 0:
-                    raise PreconditionError("division is not exact")
-            else:
-                q = lc / div_lc
+            q = _ring_divide(remainder[lead], div_lc, self.domain.kind)
             quotient[diff] = q
-            remainder = remainder - Poly.monomial(
-                self.nvars, self.domain, diff, q) * divisor
+            _collect(((tuple(map(add, diff, e)), -q * c)
+                      for e, c in divisor.terms.items()), remainder)
         return Poly(self.nvars, self.domain, quotient)
 
     # -- printing ---------------------------------------------------------------
@@ -288,7 +272,7 @@ class Poly:
     def to_string(self, var: str = "x") -> str:
         if not self.terms:
             return "0"
-        ordered = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
+        ordered = sorted(self.terms, key=_grlex, reverse=True)
         pieces = []
         for e in ordered:
             c = self.terms[e]
@@ -360,7 +344,7 @@ def parse_poly(text: str, nvars: int, domain: Domain) -> Poly:
     variable indices, and (over F_p) denominators divisible by p.
     """
     sc = _Scanner(text)
-    terms: dict = {}
+    pairs = []
     if sc.peek() == "":
         raise ParseError("empty polynomial text", position=1)
     sign = 1
@@ -376,15 +360,7 @@ def parse_poly(text: str, nvars: int, domain: Domain) -> Poly:
             coeff = domain.from_fraction(sign * num, den)
         except PreconditionError as exc:
             raise ParseError(str(exc), position=coeff_pos) from None
-        exp = tuple(exps)
-        if exp in terms:
-            s = terms[exp] + coeff
-            if s == 0:
-                del terms[exp]
-            else:
-                terms[exp] = s
-        elif coeff != 0:
-            terms[exp] = coeff
+        pairs.append((tuple(exps), coeff))
         ch = sc.peek()
         if ch == "":
             break
@@ -395,7 +371,7 @@ def parse_poly(text: str, nvars: int, domain: Domain) -> Poly:
         else:
             raise ParseError(f"unexpected character {ch!r}", position=sc.pos + 1)
         sc.take()
-    return Poly(nvars, domain, terms)
+    return Poly(nvars, domain, _collect(pairs))
 
 
 def _parse_term(sc: _Scanner, nvars: int):
@@ -477,9 +453,7 @@ def reduce_mod_p(f: Poly, p: int) -> Poly:
     """Coefficient-wise reduction of a ZZ/QQ polynomial into F_p."""
     if f.domain.kind == "FP":
         raise PreconditionError("input already has positive characteristic")
-    target = FP(p)
-    return Poly(f.nvars, target, {e: target.coerce(c)
-                                  for e, c in f.terms.items()})
+    return Poly(f.nvars, FP(p), f.terms)
 
 
 def apply_matrix(f: Poly, matrix: Sequence[Sequence]) -> Poly:
@@ -495,12 +469,8 @@ def apply_matrix(f: Poly, matrix: Sequence[Sequence]) -> Poly:
     rows = [[f.domain.coerce(v) for v in row] for row in matrix]
     if matrix_det(rows, f.domain) == 0:
         raise PreconditionError("matrix is singular")
-    images = []
-    for i in range(n):
-        images.append(Poly(n, f.domain,
-                           {tuple(1 if j == k else 0 for k in range(n)): rows[i][j]
-                            for j in range(n) if rows[i][j] != 0}))
-    return f.subs(images)
+    units = [tuple(u) for u in identity_matrix(n)]  # exponents of x_0..x_n-1
+    return f.subs([Poly(n, f.domain, dict(zip(units, row))) for row in rows])
 
 
 def support(f: Poly) -> frozenset:
@@ -535,7 +505,7 @@ def _ring_divide(a, b, domain_kind: str):
     if domain_kind == "ZZ":
         q, r = divmod(a, b)
         if r != 0:
-            raise PreconditionError("non-exact division in Bareiss step")
+            raise PreconditionError("division is not exact")
         return q
     return a / b
 

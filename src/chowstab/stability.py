@@ -493,6 +493,8 @@ def _generators(n1: int, budget: SearchBudget, domain: Domain) -> list:
 
 def _random_unimodular(rng: random.Random, n1: int, budget: SearchBudget) -> list:
     m = identity_matrix(n1)
+    if n1 < 2:  # no permutation or transvection moves a single coordinate
+        return m
     for _ in range(budget.depth + 2):
         if rng.random() < 0.25:
             i, j = rng.sample(range(n1), 2)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from chowstab.cli import build_parser, read_poly_file, run
+from chowstab.discriminants import ExtensionField
 from chowstab import FP, ParseError, parse_poly
 
 
@@ -75,6 +76,34 @@ def test_search_destab_deterministic_json(capsys):
     doc = json.loads(out1)
     assert doc["result"]["verdict"] == "unknown_after_search"
     assert "not a stability proof" in doc["result"]["note"]
+
+
+def test_search_destab_one_variable(capsys):
+    doc = _json_result(capsys, ["search-destab", "--nvars", "1",
+                                "--poly", "x0^2", "--seed", "1"])
+    assert doc["result"]["verdict"] == "unknown_after_search"
+    assert doc["result"]["search_budget_used"] == {
+        "candidates_enumerated": 2001, "candidates_tested": 1, "lp_calls": 1}
+
+
+def test_singular_points_ext2_prints_points_without_a_field(capsys,
+                                                            monkeypatch):
+    moduli = []
+    find = ExtensionField._find_modulus
+
+    def counted(p, e):
+        moduli.append((p, e))
+        return find(p, e)
+
+    monkeypatch.setattr(ExtensionField, "_find_modulus",
+                        staticmethod(counted))
+    # every partial vanishes in characteristic 2: all of P^1(F_4) is listed
+    doc = _json_result(capsys, ["singular-points", "--nvars", "2",
+                                "--field", "fp:2", "--poly", "x0^2+x1^2",
+                                "--ext", "2"])
+    assert doc["result"]["points"] == ["(1 : 0)", "(1 : t)", "(1 : 1)",
+                                       "(1 : 1 + t)", "(0 : 1)"]
+    assert moduli == [(2, 2)]  # the enumeration's field, none per point
 
 
 def test_sum_and_power(capsys):

@@ -349,6 +349,16 @@ def test_search_fermat_unknown():
     assert cert.search_budget_used.candidates_enumerated > 50
 
 
+def test_search_one_variable_random_stage_yields_identity():
+    # no permutation or transvection moves a single coordinate; every random
+    # candidate is the identity, which the dedup set skips
+    cert = destab_search(parse_poly("x0^2", 1, QQ), SearchBudget(seed=1))
+    assert cert.verdict is Verdict.UNKNOWN
+    used = cert.search_budget_used
+    assert (used.candidates_enumerated, used.candidates_tested,
+            used.lp_calls) == (1 + 0 + 0 + 2000, 1, 1)
+
+
 def test_search_seed_reproducible():
     f = parse_poly("x0^3+x1^3+x2^3", 3, FP(5))
     budget = SearchBudget(max_candidates=25, depth=1, seed=11)
