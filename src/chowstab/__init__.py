@@ -2,8 +2,8 @@
 supports, with companion threshold bounds and discriminant tools.
 
 Everything is exact: big integers, rationals, and prime fields; the LP core
-is an all-rational simplex, so verdicts are certificates rather than
-numerics.
+is an exact simplex on fraction-free integer tableaux, so verdicts are
+certificates rather than numerics.
 """
 
 from .cycles import LiftReport, lift_support, multiple_cycle, sum_cycles, \

@@ -261,40 +261,16 @@ def _poly_mod_irreducible_test(modulus: list, p: int) -> bool:
     e = len(modulus) - 1
     if e == 1:
         return True
-
-    def mulmod(a, b):
-        """Product mod the monic modulus; fixed-length-e vectors."""
-        res = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    res[i + j] = (res[i + j] + ai * bj) % p
-        for k in range(2 * e - 2, e - 1, -1):
-            c = res[k]
-            if c:
-                res[k] = 0
-                for i in range(e):
-                    res[k - e + i] = (res[k - e + i] - c * modulus[i]) % p
-        return res[:e]
-
-    def xpow(exp):
-        result = [1] + [0] * (e - 1)
-        base = [0, 1] + [0] * (e - 2)
-        while exp:
-            if exp & 1:
-                result = mulmod(result, base)
-            base = mulmod(base, base)
-            exp >>= 1
-        return result
-
+    field = ExtensionField.__new__(ExtensionField)  # no modulus search
+    field._use_modulus(p, modulus)
     fp = FP(p)
-    x = [0, 1] + [0] * (e - 2)
+    x = (0, 1) + (0,) * (e - 2)
     # x^(p^e) must equal x mod the modulus
-    if xpow(p ** e) != x:
+    if field.pow(x, p ** e) != x:
         return False
     # and no smaller Frobenius power may fix a nontrivial factor
     for ell in _prime_divisors(e):
-        sub = xpow(p ** (e // ell))
+        sub = field.pow(x, p ** (e // ell))
         diff = _uni_trim([(a - b) % p for a, b in zip(sub, x)])
         if not diff:
             return False
@@ -332,9 +308,15 @@ class ExtensionField:
             raise PreconditionError(f"{p} is not prime")
         if e < 1:
             raise PreconditionError("extension degree must be positive")
+        self._use_modulus(p, self._find_modulus(p, e))
+
+    def _use_modulus(self, p: int, modulus: list):
+        """Work modulo a monic polynomial, which _poly_mod_irreducible_test
+        also sets before it knows whether the polynomial is irreducible."""
+        e = len(modulus) - 1
         self.p = p
         self.e = e
-        self.modulus = self._find_modulus(p, e)
+        self.modulus = modulus
         # reduction table: the vector of t^(e+k) for k = 0..e-2
         self._reduction = []
         tail = [(-c) % p for c in self.modulus[:e]]

@@ -21,7 +21,8 @@ The printer emits graded-lexicographic order (x0 > x1 > ...) with explicit
 
 from __future__ import annotations
 
-from operator import add
+from heapq import heapify, heappop, heappush
+from operator import add, neg
 from typing import Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
@@ -57,6 +58,14 @@ def _collect(pairs, terms=None) -> dict:
 def _mul_terms(a: dict, b: dict) -> dict:
     return _collect((tuple(map(add, e1, e2)), c1 * c2)
                     for e1, c1 in a.items() for e2, c2 in b.items())
+
+
+def _power_terms(known: dict, k: int) -> dict:
+    """known[k], the k-th power of the term dict known[1], memoised in known."""
+    if k not in known:
+        half = _power_terms(known, k // 2)
+        known[k] = _mul_terms(half, _power_terms(known, k - k // 2))
+    return known[k]
 
 
 class Poly:
@@ -209,20 +218,13 @@ class Poly:
         # term dicts, not Polys: every product below is collected only once
         powers = [{1: im.terms} for im in images]
 
-        def power(i: int, k: int) -> dict:
-            cached = powers[i].get(k)
-            if cached is None:
-                cached = _mul_terms(power(i, k // 2), power(i, k - k // 2))
-                powers[i][k] = cached
-            return cached
-
         def image_terms():
             origin = (0,) * out_nvars
             for e, c in self.terms.items():
                 prod = {origin: c}
                 for i, k in enumerate(e):
                     if k:
-                        prod = _mul_terms(prod, power(i, k))
+                        prod = _mul_terms(prod, _power_terms(powers[i], k))
                 yield from prod.items()
 
         return Poly(out_nvars, self.domain, _collect(image_terms()))
@@ -256,15 +258,25 @@ class Poly:
         quotient: dict = {}
         div_lead = max(divisor.terms, key=_grlex)
         div_lc = divisor.terms[div_lead]
+        # leading terms come from a min-heap of negated exponents, pushed as
+        # they enter the remainder; an entry whose term has cancelled is stale
+        heap = [_grlex(tuple(map(neg, e))) for e in remainder]
+        heapify(heap)
         while remainder:
-            lead = max(remainder, key=_grlex)
+            lead = tuple(map(neg, heappop(heap)[1]))
+            if lead not in remainder:
+                continue
             diff = tuple(a - b for a, b in zip(lead, div_lead))
             if any(d < 0 for d in diff):
                 raise PreconditionError("division is not exact")
             q = _ring_divide(remainder[lead], div_lc, self.domain.kind)
             quotient[diff] = q
-            _collect(((tuple(map(add, diff, e)), -q * c)
-                      for e, c in divisor.terms.items()), remainder)
+            added = [(tuple(map(add, diff, e)), -q * c)
+                     for e, c in divisor.terms.items()]
+            for e, _ in added:
+                if e not in remainder:
+                    heappush(heap, _grlex(tuple(map(neg, e))))
+            _collect(added, remainder)
         return Poly(self.nvars, self.domain, quotient)
 
     # -- printing ---------------------------------------------------------------
@@ -510,49 +522,48 @@ def _ring_divide(a, b, domain_kind: str):
     return a / b
 
 
-def _is_zero_entry(x) -> bool:
-    return x.is_zero() if isinstance(x, Poly) else x == 0
+def _bareiss_step(row, pivot_row, col: int, prev, domain_kind: str,
+                  start: int = 0):
+    """One fraction-free row update (Bareiss 1968), in place: for j >= start,
+    row[j] := (pivot * row[j] - row[col] * pivot_row[j]) / prev, where pivot
+    is pivot_row[col] and the division is exact; prev None divides by one.
+    """
+    pivot, lead = pivot_row[col], row[col]
+    for j in range(start, len(row)):
+        num = pivot * row[j] - lead * pivot_row[j]
+        row[j] = num if prev is None else _ring_divide(num, prev, domain_kind)
 
 
-def _bareiss_eliminate(rows, zero, one, domain_kind: str,
-                       stop_at_zero_column: bool) -> tuple:
+def _bareiss_eliminate(rows, domain_kind: str) -> tuple:
     """Fraction-free forward elimination (Bareiss 1968) of a copy of rows.
 
     Pivots run down the rows; a column with no nonzero entry at or below the
-    current row is skipped, or ends the run when stop_at_zero_column is set.
-    Returns (rank found, sign of the row swaps, last pivot); for a square
-    matrix of full rank the last pivot is the determinant up to that sign.
-    Each update divides exactly by the previous pivot, except in the first
-    step, where that pivot is still one.
+    current row is skipped.  Returns (rank, sign of the row swaps, last
+    pivot); for a square matrix of full rank the last pivot is the
+    determinant up to that sign.  Each update divides exactly by the
+    previous pivot, except in the first step, where there is none.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     sign = 1
-    prev = one
+    prev = None
     rank = 0
     for col in range(ncols):
         if rank == nrows:
             break
-        if _is_zero_entry(m[rank][col]):
-            swap = next((i for i in range(rank + 1, nrows)
-                         if not _is_zero_entry(m[i][col])), None)
+        if not m[rank][col]:  # ring elements and Poly are falsy iff zero
+            swap = next((i for i in range(rank + 1, nrows) if m[i][col]),
+                        None)
             if swap is None:
-                if stop_at_zero_column:
-                    break
                 continue
             m[rank], m[swap] = m[swap], m[rank]
             sign = -sign
         pivot_row = m[rank]
-        pivot = pivot_row[col]
-        for i in range(rank + 1, nrows):
-            row = m[i]
-            lead = row[col]
-            for j in range(col + 1, ncols):
-                num = pivot * row[j] - lead * pivot_row[j]
-                row[j] = _ring_divide(num, prev, domain_kind) if rank else num
-            row[col] = zero
-        prev = pivot
+        # entries left of col + 1 are never read again, so they stay
+        for row in m[rank + 1:]:
+            _bareiss_step(row, pivot_row, col, prev, domain_kind, col + 1)
+        prev = pivot_row[col]
         rank += 1
     return rank, sign, prev
 
@@ -562,7 +573,7 @@ def bareiss_det(rows, zero, one, domain_kind: str):
     n = len(rows)
     if n == 0:
         return one
-    rank, sign, pivot = _bareiss_eliminate(rows, zero, one, domain_kind, True)
+    rank, sign, pivot = _bareiss_eliminate(rows, domain_kind)
     if rank < n:
         return zero
     return pivot if sign == 1 else -pivot
@@ -570,7 +581,7 @@ def bareiss_det(rows, zero, one, domain_kind: str):
 
 def integer_rank(rows) -> int:
     """Rank of an integer matrix, by the same fraction-free elimination."""
-    return _bareiss_eliminate(rows, 0, 1, "ZZ", False)[0]
+    return _bareiss_eliminate(rows, "ZZ")[0]
 
 
 def matrix_det(rows: Sequence[Sequence], domain: Domain):

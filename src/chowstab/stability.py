@@ -31,7 +31,7 @@ from .poly import Poly, apply_matrix, identity_matrix, integer_rank, mat_mul, \
 from .simplex import INFEASIBLE, OPTIMAL, solve_standard_lp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightVector:
     """Integer weights (r_0, ..., r_n), summing to zero, not all zero."""
 
@@ -111,7 +111,7 @@ class Verdict(str, Enum):
     UNKNOWN = "unknown_after_search"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchCounters:
     candidates_enumerated: int = 0
     candidates_tested: int = 0
@@ -123,7 +123,7 @@ class SearchCounters:
                 "lp_calls": self.lp_calls}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilityCertificate:
     verdict: Verdict
     witness_r: Optional[WeightVector] = None
@@ -315,11 +315,6 @@ def lp_membership_maxmin(points, c) -> LpResult:
     return _box_lp(shifted, [0] * dim, True, "separation")
 
 
-def _max_over_cone(points, objective) -> LpResult:
-    """max objective.r over {sum r = 0, <r, p> >= 0 for all p, |r_i| <= 1}."""
-    return _box_lp(points, objective, False, "cone")
-
-
 def primitive_integer_vector(vec) -> tuple:
     """Clear denominators and divide by the gcd; preserves direction."""
     fracs = [Fraction(v) for v in vec]
@@ -399,7 +394,7 @@ def _semistable_witness(f: Poly) -> WeightVector:
         for sign in (1, -1):
             objective = [0] * n1
             objective[i] = sign
-            res = _max_over_cone(pts, objective)
+            res = _box_lp(pts, objective, False, "cone")
             if res.t_star > 0:
                 witness = WeightVector(primitive_integer_vector(res.r_star))
                 if min_inner_product(f, witness.entries) != 0:

@@ -88,3 +88,37 @@ def random_domain(rng: random.Random):
     if roll == 1:
         return ZZ
     return FP(rng.choice(PRIMES_TO_97))
+
+
+def random_standard_lp(rng: random.Random):
+    """(rows, rhs, cost) of a small LP  min cost.x, rows x = rhs, x >= 0.
+
+    Entries are ints and Fractions, rhs may be negative and is 0 in about
+    four rows of ten, so vertices are often degenerate; about half the LPs
+    carry a slack per row and so are feasible.  Some get a redundant row (a
+    multiple of another) or an all-zero row, whose rhs is mostly 0.
+    """
+    def entry():
+        v = rng.randint(-4, 4)
+        return Fraction(v, rng.randrange(1, 4)) if rng.random() < 0.3 else v
+
+    m = rng.randrange(0, 6)
+    n = rng.randrange(1, 7)
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    rhs = [entry() if rng.random() < 0.6 else 0 for _ in range(m)]
+    if rng.random() < 0.5:
+        rows = [row + [int(i == j) for j in range(m)]
+                for i, row in enumerate(rows)]
+        rhs = [abs(b) for b in rhs]
+        n += m
+    if m and rng.random() < 0.3:
+        k = rng.randrange(m)
+        factor = rng.choice([1, -2, Fraction(1, 3)])
+        at = rng.randrange(m + 1)
+        rows.insert(at, [factor * v for v in rows[k]])
+        rhs.insert(at, factor * rhs[k])
+    if rng.random() < 0.15:
+        at = rng.randrange(len(rows) + 1)
+        rows.insert(at, [0] * n)
+        rhs.insert(at, 0 if rng.random() < 0.7 else entry())
+    return rows, rhs, [entry() for _ in range(n)]

@@ -1,5 +1,5 @@
-"""Independent cross-check of the exact separation and interior LPs
-against scipy.
+"""Independent cross-check of the exact simplex and of the separation and
+interior LPs against scipy.
 
 scipy only confirms the optimum numerically; the exact rational answer is
 the authority.  Skipped quietly when scipy is unavailable.
@@ -11,8 +11,10 @@ from fractions import Fraction
 import pytest
 
 from chowstab import lp_membership_maxmin, stability
+from chowstab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, \
+    solve_standard_lp
 
-from conftest import random_exponent
+from conftest import random_exponent, random_standard_lp
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -88,3 +90,23 @@ def test_interior_lp_matches_scipy():
         else:
             assert abs(float(exact) - approx) < 1e-7
     assert 0 < infeasible < 60
+
+
+def test_standard_lp_matches_scipy():
+    # status and optimum of solve_standard_lp itself on seeded LPs
+    rng = random.Random(502)
+    scipy_status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+    seen = set()
+    for _ in range(200):
+        rows, rhs, cost = random_standard_lp(rng)
+        status, _, value = solve_standard_lp(rows, rhs, cost)
+        res = scipy_opt.linprog([float(c) for c in cost],
+                                A_eq=[[float(v) for v in row] for row in rows]
+                                or None,
+                                b_eq=[float(b) for b in rhs] or None,
+                                bounds=(0, None), method="highs")
+        assert status == scipy_status[res.status], (rows, rhs, cost)
+        if status == OPTIMAL:
+            assert abs(float(value) - res.fun) < 1e-7, (rows, rhs, cost)
+        seen.add(status)
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}

@@ -222,7 +222,7 @@ def test_lp_tableau_layout(monkeypatch):
         [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1],
         [1, 1, -1, -1, 0, 0, 0, 0, 0, 0, 0],
     ], [0, 0, 1, 1, 1, 1, 0], [0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0])
-    stability._max_over_cone([(2, 0), (1, 1)], [0, -1])
+    stability._box_lp([(2, 0), (1, 1)], [0, -1], False, "cone")
     #     u0  u1  v0  v1  s0  s1  p0  p1  q0  q1
     assert seen.pop() == ([
         [2, 0, -2, 0, -1, 0, 0, 0, 0, 0],

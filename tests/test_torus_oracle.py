@@ -48,7 +48,7 @@ def oracle_torus_certificate(f):
         for sign in (1, -1):
             objective = [0] * n1
             objective[i] = sign
-            res = stability._max_over_cone(pts, objective)
+            res = stability._box_lp(pts, objective, False, "cone")
             if res.t_star > 0:
                 witness = WeightVector(primitive_integer_vector(res.r_star))
                 assert min_inner_product(f, witness.entries) == 0
@@ -248,9 +248,9 @@ def test_impossible_witness_failures_raise(monkeypatch):
                                                           [0, 0, 0]))
     with pytest.raises(PreconditionError):
         torus_certificate(cusp)
-    monkeypatch.setattr(stability, "_max_over_cone",
-                        lambda pts, obj: stability.LpResult(Fraction(0),
-                                                            [0, 0, 0]))
+    monkeypatch.setattr(stability, "_box_lp",
+                        lambda pts, obj, with_t, what: stability.LpResult(
+                            Fraction(0), [0, 0, 0]))
     with pytest.raises(PreconditionError):
         torus_certificate(parse_poly("x0*x1*x2", 3, QQ))
 
