@@ -9,6 +9,7 @@ import pytest
 from chowstab import FP, INFINITY, QQ, Poly, PreconditionError, LeeOutcome, \
     blowup_discrepancy, fpt_interval, fpt_nu, lct_bound_optimize, \
     lct_upper_bound, lee_verdict, parse_poly
+from chowstab import thresholds
 from chowstab.thresholds import WeightAssignment
 
 from conftest import random_affine
@@ -63,6 +64,28 @@ def test_optimize_smooth():
 def test_optimize_rejects_off_divisor():
     with pytest.raises(PreconditionError):
         lct_bound_optimize(parse_poly("1 + x0", 1, QQ), 3)
+
+
+def test_optimize_cap_refused_before_any_weight(monkeypatch):
+    calls = []
+    real = thresholds.min_inner_product
+
+    def counted(f, w):
+        calls.append(w)
+        return real(f, w)
+
+    monkeypatch.setattr(thresholds, "min_inner_product", counted)
+    f = parse_poly("x0^2 + x1^3 + x2^5", 3, QQ)
+    with pytest.raises(PreconditionError,
+                       match=r"\(max_weight\+1\)\^n = 64481201 exceeds the "
+                             r"search limit 10000000"):
+        lct_bound_optimize(f, 400)
+    assert calls == []
+    with pytest.raises(PreconditionError):
+        lct_bound_optimize(f, 3, max_search=63)  # 4^3 = 64 weights
+    assert calls == []
+    assert lct_bound_optimize(f, 3, max_search=64).best_bound == Fraction(7, 6)
+    assert len(calls) > 0
 
 
 def test_monomial_exhaustive_bound_is_exact():
