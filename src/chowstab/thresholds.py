@@ -29,6 +29,9 @@ INFINITY = math.inf
 
 Bound = Union[Fraction, float]
 
+# lct_bound_optimize refuses a search over more candidate weights than this.
+_MAX_WEIGHTS = 10**7
+
 
 @dataclass(frozen=True)
 class WeightAssignment:
@@ -111,24 +114,23 @@ def lct_upper_bound(f: Poly, w) -> Bound:
     return Fraction(wa.total(), wf)
 
 
-def lct_bound_optimize(f: Poly, max_weight: int,
-                       max_search: int = 10**7) -> OptimizeResult:
+def lct_bound_optimize(f: Poly, max_weight: int) -> OptimizeResult:
     """Minimize the weighted bound over primitive weights in [0, max_weight]^n.
 
     Only primitive (gcd 1) vectors matter because the bound is scale
     invariant; ties keep the lexicographically smallest weight.  The
-    (max_weight+1)^n candidates are checked against max_search before any
-    is tried.
+    (max_weight+1)^n candidates are checked against _MAX_WEIGHTS before
+    any is tried.
     """
     _check_divisor(f)
     if f.constant_coefficient() != 0:
         raise PreconditionError("origin is not on the divisor; bound is vacuous")
     if max_weight < 1:
         raise PreconditionError("max_weight must be at least 1")
-    if (max_weight + 1) ** f.nvars > max_search:
+    if (max_weight + 1) ** f.nvars > _MAX_WEIGHTS:
         raise PreconditionError(
             f"(max_weight+1)^n = {(max_weight + 1) ** f.nvars} exceeds the "
-            f"search limit {max_search}")
+            f"search limit {_MAX_WEIGHTS}")
     best: Bound = INFINITY
     best_w = None
     for w in product(range(max_weight + 1), repeat=f.nvars):

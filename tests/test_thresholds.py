@@ -81,10 +81,12 @@ def test_optimize_cap_refused_before_any_weight(monkeypatch):
                              r"search limit 10000000"):
         lct_bound_optimize(f, 400)
     assert calls == []
+    monkeypatch.setattr(thresholds, "_MAX_WEIGHTS", 63)  # 4^3 = 64 weights
     with pytest.raises(PreconditionError):
-        lct_bound_optimize(f, 3, max_search=63)  # 4^3 = 64 weights
+        lct_bound_optimize(f, 3)
     assert calls == []
-    assert lct_bound_optimize(f, 3, max_search=64).best_bound == Fraction(7, 6)
+    monkeypatch.setattr(thresholds, "_MAX_WEIGHTS", 64)
+    assert lct_bound_optimize(f, 3).best_bound == Fraction(7, 6)
     assert len(calls) > 0
 
 
