@@ -14,6 +14,9 @@ from .fields import ZZ
 from .poly import Poly, min_inner_product, reduce_mod_p
 from .stability import WeightVector
 
+# transfer_check samples weight entries from [-_WEIGHT_BOUND, _WEIGHT_BOUND].
+_WEIGHT_BOUND = 5
+
 
 @dataclass(frozen=True)
 class LiftReport:
@@ -64,17 +67,18 @@ def lift_support(f: Poly) -> Poly:
     return Poly(f.nvars, ZZ, {e: c.residue for e, c in f.terms.items()})
 
 
-def random_weight_vector(rng: random.Random, length: int,
-                         bound: int = 5) -> WeightVector:
-    """A uniform-ish nonzero zero-sum integer vector with entries in [-bound, bound]."""
+def random_weight_vector(rng: random.Random, length: int) -> WeightVector:
+    """A uniform-ish nonzero zero-sum integer vector with entries in
+    [-_WEIGHT_BOUND, _WEIGHT_BOUND]."""
     while True:
-        head = [rng.randint(-bound, bound) for _ in range(length - 1)]
+        head = [rng.randint(-_WEIGHT_BOUND, _WEIGHT_BOUND)
+                for _ in range(length - 1)]
         tail = -sum(head)
-        if abs(tail) <= bound and (tail != 0 or any(head)):
+        if abs(tail) <= _WEIGHT_BOUND and (tail != 0 or any(head)):
             return WeightVector(tuple(head + [tail]))
 
 
-def transfer_check(f: Poly, samples: int, seed: int, bound: int = 5) -> LiftReport:
+def transfer_check(f: Poly, samples: int, seed: int) -> LiftReport:
     """Compare weight minima of f and its integer lift on sampled weights.
 
     The minima agree whenever the supports agree, so all_equal is always
@@ -92,7 +96,7 @@ def transfer_check(f: Poly, samples: int, seed: int, bound: int = 5) -> LiftRepo
     weights = []
     pairs = []
     for _ in range(samples):
-        w = random_weight_vector(rng, f.nvars, bound)
+        w = random_weight_vector(rng, f.nvars)
         weights.append(w)
         pairs.append((min_inner_product(f, w.entries),
                       min_inner_product(lifted, w.entries)))

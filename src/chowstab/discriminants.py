@@ -19,6 +19,10 @@ from .errors import PreconditionError
 from .fields import FP, QQ, ZZ, Domain, is_prime
 from .poly import Poly, bareiss_det
 
+# singular_locus_enumerate refuses a search over more coordinate vectors than
+# this, checked before the modulus search and the field are built.
+_MAX_POINTS = 10**7
+
 # -- Sylvester resultants -----------------------------------------------------
 
 
@@ -235,16 +239,9 @@ def smoothness_binary(f: Poly) -> bool:
         raise PreconditionError("input is not a binary form")
     if d == 0:
         return True
-    if f.domain.kind == "ZZ":
-        work = Poly(2, QQ, f.terms)
-        domain = QQ
-    else:
-        work = f
-        domain = f.domain
-    coeffs = [domain.zero()] * (d + 1)
-    for (e0, _e1), c in work.terms.items():
-        coeffs[e0] = c
-    coeffs = _uni_trim(coeffs)
+    work = Poly(2, QQ, f.terms) if f.domain.kind == "ZZ" else f
+    domain = work.domain
+    coeffs = _uni_trim(_univariate_coeffs(work, d))
     if d - (len(coeffs) - 1) >= 2:
         return False  # root at infinity with multiplicity >= 2
     if len(coeffs) == 1:
@@ -256,43 +253,26 @@ def smoothness_binary(f: Poly) -> bool:
 # -- finite extension fields and point enumeration -------------------------------
 
 
-def _poly_mod_irreducible_test(modulus: list, p: int) -> bool:
-    """Irreducibility of a monic polynomial over F_p (Rabin's test)."""
-    e = len(modulus) - 1
-    if e == 1:
-        return True
-    field = ExtensionField.__new__(ExtensionField)  # no modulus search
-    field._use_modulus(p, modulus)
+def _is_irreducible(modulus: list, p: int) -> bool:
+    """Irreducibility of a monic polynomial m of degree e over F_p (Ben-Or):
+    m is irreducible iff gcd(t^(p^i) - t, m) = 1 for i = 1..e//2.
+
+    Each t^(p^i) mod m is the previous one with every exponent times p,
+    since h(t)^p = h(t^p) over F_p, reduced by _uni_mod; no field product.
+    """
     fp = FP(p)
-    x = (0, 1) + (0,) * (e - 2)
-    # x^(p^e) must equal x mod the modulus
-    if field.pow(x, p ** e) != x:
-        return False
-    # and no smaller Frobenius power may fix a nontrivial factor
-    for ell in _prime_divisors(e):
-        sub = field.pow(x, p ** (e // ell))
-        diff = _uni_trim([(a - b) % p for a, b in zip(sub, x)])
-        if not diff:
-            return False
-        g = _uni_gcd([fp.coerce(c) for c in modulus],
-                     [fp.coerce(c) for c in diff], fp)
-        if len(g) > 1:
+    zero, one = fp.zero(), fp.one()
+    m = [fp.coerce(c) for c in modulus]
+    power = [zero, one]  # t
+    for _ in range((len(m) - 1) // 2):
+        spread = [zero] * ((len(power) - 1) * p + 1)
+        spread[::p] = power
+        power = _uni_mod(spread, m, fp)
+        diff = power + [zero] * (2 - len(power))
+        diff[1] -= one
+        if len(_uni_gcd(m, diff, fp)) > 1:
             return False
     return True
-
-
-def _prime_divisors(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class ExtensionField:
@@ -300,7 +280,8 @@ class ExtensionField:
     lexicographic coefficient order (constant coefficient first).
 
     Elements are coefficient tuples of length e; the choice of modulus is a
-    deterministic rule so point enumerations are reproducible.
+    deterministic rule so point enumerations are reproducible.  Candidates
+    are tested with Ben-Or's test, skipping those divisible by t.
     """
 
     def __init__(self, p: int, e: int):
@@ -308,15 +289,9 @@ class ExtensionField:
             raise PreconditionError(f"{p} is not prime")
         if e < 1:
             raise PreconditionError("extension degree must be positive")
-        self._use_modulus(p, self._find_modulus(p, e))
-
-    def _use_modulus(self, p: int, modulus: list):
-        """Work modulo a monic polynomial, which _poly_mod_irreducible_test
-        also sets before it knows whether the polynomial is irreducible."""
-        e = len(modulus) - 1
         self.p = p
         self.e = e
-        self.modulus = modulus
+        self.modulus = self._find_modulus(p, e)
         # reduction table: the vector of t^(e+k) for k = 0..e-2
         self._reduction = []
         tail = [(-c) % p for c in self.modulus[:e]]
@@ -331,9 +306,10 @@ class ExtensionField:
 
     @staticmethod
     def _find_modulus(p: int, e: int) -> list:
-        for coeffs in product(range(p), repeat=e):
+        # for e > 1 a zero constant coefficient means t divides the candidate
+        for coeffs in product(range(e > 1, p), *[range(p)] * (e - 1)):
             candidate = list(coeffs) + [1]
-            if _poly_mod_irreducible_test(candidate, p):
+            if _is_irreducible(candidate, p):
                 return candidate
         raise PreconditionError("no irreducible polynomial found (bug)")
 
@@ -409,13 +385,14 @@ class ProjPoint:
                                 for c in self.coords) + ")"
 
 
-def singular_locus_enumerate(f: Poly, e: int, include_form: bool = False,
-                             max_search: int = 10**7) -> list:
+def singular_locus_enumerate(f: Poly, e: int,
+                             include_form: bool = False) -> list:
     """All points of P^n(F_{p^e}) where every partial of f vanishes
     (optionally f as well).
 
     SEMI-DECISION: an empty result does not prove emptiness over the
-    algebraic closure; larger e only ever add points.
+    algebraic closure; larger e only ever add points.  More than _MAX_POINTS
+    coordinate vectors are refused before the modulus search starts.
     """
     if f.domain.kind != "FP":
         raise PreconditionError("enumeration needs a prime-field polynomial")
@@ -423,9 +400,10 @@ def singular_locus_enumerate(f: Poly, e: int, include_form: bool = False,
         raise PreconditionError("input must be a nonzero homogeneous form")
     p = f.domain.p
     n1 = f.nvars
-    if p ** (e * n1) > max_search:
+    if p ** (e * n1) > _MAX_POINTS:
         raise PreconditionError(
-            f"p^(e*(n+1)) = {p ** (e * n1)} exceeds the search limit {max_search}")
+            f"p^(e*(n+1)) = {p ** (e * n1)} exceeds the search limit "
+            f"{_MAX_POINTS}")
     field = ExtensionField(p, e)
     polys = [f.partial(i) for i in range(n1)]
     if include_form:

@@ -165,10 +165,6 @@ class Domain:
     def characteristic(self) -> int:
         return self.p if self.kind == "FP" else 0
 
-    @property
-    def is_field(self) -> bool:
-        return self.kind != "ZZ"
-
     def zero(self):
         return self.coerce(0)
 

@@ -121,11 +121,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def total_degree(self):
-        """Max total degree, or None for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=None)
-
     def constant_coefficient(self):
         return self.terms.get((0,) * self.nvars, self.domain.zero())
 
@@ -172,16 +167,9 @@ class Poly:
     def __pow__(self, m: int) -> "Poly":
         if m < 0:
             raise PreconditionError("negative power")
-        result = Poly.constant(self.nvars, self.domain, 1)
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            base_needed = m >> 1
-            if base_needed:
-                base = base * base
-            m = base_needed
-        return result
+        one = {(0,) * self.nvars: 1}
+        return Poly(self.nvars, self.domain,
+                    _power_terms({0: one, 1: self.terms}, m))
 
     def scale(self, value) -> "Poly":
         c0 = self.domain.coerce(value)

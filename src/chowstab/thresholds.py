@@ -32,6 +32,9 @@ Bound = Union[Fraction, float]
 # lct_bound_optimize refuses a search over more candidate weights than this.
 _MAX_WEIGHTS = 10**7
 
+# fpt_nu refuses a Frobenius power p^e above this.
+_MAX_PRIME_POWER = 2**16
+
 
 @dataclass(frozen=True)
 class WeightAssignment:
@@ -169,7 +172,7 @@ def _truncate(f: Poly, q: int) -> Poly:
                 {e: c for e, c in f.terms.items() if all(x < q for x in e)})
 
 
-def fpt_nu(f: Poly, e: int, max_prime_power: int = 2**16) -> int:
+def fpt_nu(f: Poly, e: int) -> int:
     """Largest N with f^N outside (x_1^{p^e}, ..., x_n^{p^e}).
 
     Climbs a Frobenius ladder: g = f^nu mod m^[p^k] becomes g^[p] (every
@@ -187,9 +190,9 @@ def fpt_nu(f: Poly, e: int, max_prime_power: int = 2**16) -> int:
     if e < 1:
         raise PreconditionError("e must be positive")
     p = f.domain.p
-    if p ** e > max_prime_power:
+    if p ** e > _MAX_PRIME_POWER:
         raise PreconditionError(
-            f"p^e = {p ** e} exceeds the configured limit {max_prime_power}")
+            f"p^e = {p ** e} exceeds the configured limit {_MAX_PRIME_POWER}")
     g = Poly.constant(f.nvars, f.domain, 1)
     nu = 0
     for k in range(1, e + 1):
@@ -206,8 +209,7 @@ def fpt_nu(f: Poly, e: int, max_prime_power: int = 2**16) -> int:
     return nu
 
 
-def fpt_interval(f: Poly, e_max: int,
-                 max_prime_power: int = 2**16) -> ThresholdInterval:
+def fpt_interval(f: Poly, e_max: int) -> ThresholdInterval:
     """Certified interval [nu/p^e, (nu+1)/p^e] at e = e_max.
 
     One ladder up to e_max gives nu = nu_(e_max); the earlier levels are
@@ -217,7 +219,7 @@ def fpt_interval(f: Poly, e_max: int,
     """
     if e_max < 1:
         raise PreconditionError("e_max must be positive")
-    nu = fpt_nu(f, e_max, max_prime_power)
+    nu = fpt_nu(f, e_max)
     p = f.domain.p
     q = p ** e_max
     nus = tuple((e, nu // p ** (e_max - e)) for e in range(1, e_max + 1))

@@ -7,6 +7,7 @@ import pytest
 from chowstab import FP, QQ, ZZ, Poly, PreconditionError, Verdict, \
     lift_support, mu_hypersurface, multiple_cycle, parse_poly, reduce_mod_p, \
     sum_cycles, torus_certificate, transfer_check
+from chowstab import cycles
 
 from conftest import PRIMES_TO_97, random_domain, random_homogeneous, \
     random_weight
@@ -153,6 +154,18 @@ def test_transfer_check_rejects_empty_sample():
         with pytest.raises(PreconditionError, match="samples"):
             transfer_check(f, samples=samples, seed=1)
     assert len(transfer_check(f, samples=1, seed=1).mu_pairs) == 1
+
+
+def test_transfer_check_samples_within_the_weight_bound(monkeypatch):
+    f = parse_poly("x0^2*x1 + 2*x1^2*x2 + x2^3", 3, FP(3))
+    entries = [r for w in transfer_check(f, samples=100, seed=42)
+               .sampled_weights for r in w.entries]
+    assert max(map(abs, entries)) == 5
+    monkeypatch.setattr(cycles, "_WEIGHT_BOUND", 1)
+    report = transfer_check(f, samples=100, seed=42)
+    assert report.all_equal
+    entries = [r for w in report.sampled_weights for r in w.entries]
+    assert max(map(abs, entries)) == 1
 
 
 def test_transfer_check_power_stays_in_characteristic():

@@ -8,6 +8,7 @@ from chowstab import FP, QQ, ZZ, Poly, PreconditionError, \
     cyclic_critical_exponent, discriminant_binary, parse_poly, quartic_st, \
     quartic_st_generic, reduce_mod_p, singular_locus_enumerate, \
     smoothness_binary, sylvester_resultant
+from chowstab import discriminants
 from chowstab.discriminants import ExtensionField, generic_binary_form
 
 from conftest import random_coeff
@@ -220,6 +221,28 @@ def test_extension_field_arithmetic():
             k += 1
         orders.add(k)
     assert max(orders) == 8
+
+
+def test_singular_points_cap_is_checked_before_the_field(monkeypatch):
+    built = []
+    find = ExtensionField._find_modulus
+
+    def counted(p, e):
+        built.append((p, e))
+        return find(p, e)
+
+    monkeypatch.setattr(ExtensionField, "_find_modulus",
+                        staticmethod(counted))
+    monkeypatch.setattr(discriminants, "_MAX_POINTS", 63)  # 2^(2*3) = 64
+    f = parse_poly("x0*x1*x2", 3, FP(2))
+    with pytest.raises(PreconditionError,
+                       match=r"p\^\(e\*\(n\+1\)\) = 64 exceeds the "
+                             r"search limit 63"):
+        singular_locus_enumerate(f, 2)
+    assert built == []
+    monkeypatch.setattr(discriminants, "_MAX_POINTS", 64)
+    assert len(singular_locus_enumerate(f, 2)) == 3  # the coordinate points
+    assert built == [(2, 2)]
 
 
 def test_singular_points_hyperbolic_quadric_empty():

@@ -1,0 +1,134 @@
+"""Ben-Or's irreducibility test against the Rabin test it replaced.
+
+ExtensionField used to pick its modulus with Rabin's test: x^(p^e) = x mod
+m, and gcd(x^(p^(e/l)) - x, m) = 1 for every prime l dividing e, with the
+powers taken in a half-built field on the candidate modulus.  That path is
+kept here as the oracle, with its own modular multiply, and it walks every
+monic candidate in the old order, constant term 0 included.
+"""
+
+from itertools import product
+
+import pytest
+
+from chowstab import FP
+from chowstab import discriminants
+from chowstab.discriminants import ExtensionField, _is_irreducible, \
+    _uni_gcd, _uni_trim
+
+
+# -- the old path, verbatim in behaviour --------------------------------------
+
+def _mul_mod(a, b, modulus, p):
+    """a * b mod the monic modulus, on coefficient tuples over F_p."""
+    e = len(modulus) - 1
+    conv = [0] * (2 * e - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                conv[i + j] += ai * bj
+    for k in range(2 * e - 2, e - 1, -1):  # t^k = -t^(k-e) * (m - t^e)
+        c = conv[k] % p
+        if c:
+            for i in range(e):
+                conv[k - e + i] -= c * modulus[i]
+    return tuple(c % p for c in conv[:e])
+
+
+def _pow_mod(a, k, modulus, p):
+    result = (1,) + (0,) * (len(modulus) - 2)
+    base = a
+    while k:
+        if k & 1:
+            result = _mul_mod(result, base, modulus, p)
+        base = _mul_mod(base, base, modulus, p)
+        k >>= 1
+    return result
+
+
+def oracle_prime_divisors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def oracle_irreducible(modulus, p):
+    e = len(modulus) - 1
+    if e == 1:
+        return True
+    fp = FP(p)
+    x = (0, 1) + (0,) * (e - 2)
+    if _pow_mod(x, p ** e, modulus, p) != x:
+        return False
+    for ell in oracle_prime_divisors(e):
+        sub = _pow_mod(x, p ** (e // ell), modulus, p)
+        diff = _uni_trim([(a - b) % p for a, b in zip(sub, x)])
+        if not diff:
+            return False
+        g = _uni_gcd([fp.coerce(c) for c in modulus],
+                     [fp.coerce(c) for c in diff], fp)
+        if len(g) > 1:
+            return False
+    return True
+
+
+def oracle_modulus(p, e):
+    for coeffs in product(range(p), repeat=e):
+        candidate = list(coeffs) + [1]
+        if oracle_irreducible(candidate, p):
+            return candidate
+    raise AssertionError("no irreducible polynomial found")
+
+
+def _pairs(limit, primes):
+    return [(p, e) for p in primes for e in range(1, limit.bit_length())
+            if p ** e <= limit]
+
+
+# -- comparisons ------------------------------------------------------------------
+
+def test_oracle_multiply_is_field_multiply():
+    field = ExtensionField(3, 4)
+    elements = list(field.elements())[::7]
+    for a in elements:
+        for b in elements:
+            assert _mul_mod(a, b, field.modulus, 3) == field.mul(a, b)
+
+
+@pytest.mark.parametrize("p, e", _pairs(729, [2, 3, 5, 7]))
+def test_ben_or_matches_rabin_on_every_monic_candidate(p, e):
+    for coeffs in product(range(p), repeat=e):
+        candidate = list(coeffs) + [1]
+        assert _is_irreducible(candidate, p) == \
+            oracle_irreducible(candidate, p), candidate
+
+
+@pytest.mark.parametrize("p, e", _pairs(4096, [2, 3, 5, 7, 11, 13, 31, 61]))
+def test_modulus_is_the_oracles_first_irreducible(p, e):
+    assert ExtensionField(p, e).modulus == oracle_modulus(p, e)
+
+
+def test_modulus_search_skips_candidates_divisible_by_t(monkeypatch):
+    tested = []
+    real = discriminants._is_irreducible
+
+    def counted(modulus, p):
+        tested.append(list(modulus))
+        return real(modulus, p)
+
+    monkeypatch.setattr(discriminants, "_is_irreducible", counted)
+    field = ExtensionField(5, 8)
+    assert field.modulus == [1, 0, 0, 0, 0, 1, 1, 0, 1]
+    assert tested and all(m[0] != 0 for m in tested)
+    assert tested[-1] == field.modulus
+    tested.clear()
+    assert ExtensionField(5, 1).modulus == [0, 1]  # degree 1: t itself
+    assert tested == [[0, 1]]

@@ -160,7 +160,7 @@ def test_interval_makes_one_fpt_nu_call(monkeypatch):
     f = parse_poly("x0^2 + x1^3", 2, FP(3))
     interval = fpt_interval(f, 4)
     assert len(calls) == 1
-    assert calls[0][1:] == (4, 2**16)
+    assert calls[0][1:] == (4,)
     assert [e for e, _ in interval.provenance["nu_by_e"]] == [1, 2, 3, 4]
 
 

@@ -172,6 +172,17 @@ def test_fpt_nu_preconditions():
         fpt_nu(parse_poly("x0", 1, FP(2)), 20)     # p^e over the limit
 
 
+def test_fpt_nu_cap_is_a_module_constant(monkeypatch):
+    f = parse_poly("x0", 1, FP(2))
+    monkeypatch.setattr(thresholds, "_MAX_PRIME_POWER", 8)
+    assert fpt_nu(f, 3) == 7
+    with pytest.raises(PreconditionError,
+                       match=r"p\^e = 16 exceeds the configured limit 8"):
+        fpt_nu(f, 4)
+    with pytest.raises(PreconditionError, match="limit 8"):
+        fpt_interval(f, 4)
+
+
 def test_fpt_interval_examples():
     f = parse_poly("x0^2", 1, FP(3))
     interval = fpt_interval(f, 2)
