@@ -13,10 +13,9 @@ from .discriminants import ExtensionField, ProjPoint, QuarticST, \
     quartic_st_generic, singular_locus_enumerate, smoothness_binary, \
     sylvester_resultant
 from .errors import ChowstabError, ParseError, PreconditionError
-from .fields import FP, QQ, ZZ, Domain, PrimeFieldElem, Rational, \
-    domain_from_tag, is_prime
-from .poly import Poly, apply_matrix, euler_residual, parse_poly, \
-    partial_derivative, poly_mul, reduce_mod_p, support, weighted_multiplicity
+from .fields import FP, QQ, ZZ, Domain, PrimeFieldElem, domain_from_tag, \
+    is_prime
+from .poly import Poly, apply_matrix, parse_poly, reduce_mod_p
 from .stability import BracketSupport, SearchBudget, StabilityCertificate, \
     Verdict, WeightVector, bracket_from_hypersurface, destab_search, \
     lee_ratio, lp_membership_maxmin, mu_bracket, mu_hypersurface, \
@@ -31,16 +30,15 @@ __all__ = [
     "BracketSupport", "ChowstabError", "Domain", "ExtensionField", "FP",
     "INFINITY", "LeeOutcome", "LeeVerdict", "LiftReport", "ParseError",
     "Poly", "PreconditionError", "PrimeFieldElem", "ProjPoint", "QQ",
-    "QuarticST", "Rational", "SearchBudget", "StabilityCertificate",
-    "ThresholdInterval", "Verdict", "WeightAssignment", "WeightVector", "ZZ",
-    "apply_matrix", "blowup_discrepancy", "bracket_from_hypersurface",
+    "QuarticST", "SearchBudget", "StabilityCertificate", "ThresholdInterval",
+    "Verdict", "WeightAssignment", "WeightVector", "ZZ", "apply_matrix",
+    "blowup_discrepancy", "bracket_from_hypersurface",
     "cyclic_critical_exponent", "destab_search", "discriminant_binary",
-    "domain_from_tag", "euler_residual", "fpt_interval", "fpt_nu",
-    "is_prime", "lct_bound_optimize", "lct_upper_bound", "lee_ratio",
-    "lee_verdict", "lift_support", "lp_membership_maxmin", "mu_bracket",
-    "mu_hypersurface", "multiple_cycle", "numerical_identity_check",
-    "parse_poly", "partial_derivative", "poly_mul", "quartic_st",
+    "domain_from_tag", "fpt_interval", "fpt_nu", "is_prime",
+    "lct_bound_optimize", "lct_upper_bound", "lee_ratio", "lee_verdict",
+    "lift_support", "lp_membership_maxmin", "mu_bracket", "mu_hypersurface",
+    "multiple_cycle", "numerical_identity_check", "parse_poly", "quartic_st",
     "quartic_st_generic", "reduce_mod_p", "singular_locus_enumerate",
-    "smoothness_binary", "sum_cycles", "support", "sylvester_resultant",
-    "torus_certificate", "transfer_check", "weighted_multiplicity",
+    "smoothness_binary", "sum_cycles", "sylvester_resultant",
+    "torus_certificate", "transfer_check",
 ]

@@ -92,33 +92,13 @@ def _default_degree(f: Poly) -> int:
 # -- discriminants -------------------------------------------------------------
 
 
-def generic_binary_form(d: int) -> Poly:
-    """sum_k a_k * X0^(d-k) * X1^k over ZZ, variables (a_0..a_d, X0, X1)."""
-    nv = d + 3
-    terms = {}
-    for k in range(d + 1):
-        exp = [0] * nv
-        exp[k] = 1
-        exp[d + 1] = d - k
-        exp[d + 2] = k
-        terms[tuple(exp)] = 1
-    return Poly(nv, ZZ, terms)
-
-
-def _coefficient_polys(f: Poly, d: int, form_degree: int) -> list:
-    """Split a (coefficients, X0, X1) polynomial into X0^k-coefficients.
-
-    Entry k is the coefficient of X0^k X1^(form_degree - k), a polynomial in
-    the a-variables only.
-    """
-    nv = d + 1
-    out_terms: list[dict] = [dict() for _ in range(form_degree + 1)]
-    for exp, c in f.terms.items():
-        k = exp[d + 1]
-        if exp[d + 2] != form_degree - k:
-            raise PreconditionError("entry is not a form of the declared degree")
-        out_terms[k][exp[:nv]] = c
-    return [Poly(nv, ZZ, t) for t in out_terms]
+def _generic_partials(d: int) -> tuple:
+    """Coefficient lists of the two partials of f = sum_k a_k X0^(d-k) X1^k,
+    polynomials in a_0..a_d over ZZ: entry j is the X0^j coefficient of
+    df/dX0 (first list) and of df/dX1 (second list)."""
+    a = [Poly.variable(d + 1, ZZ, k) for k in range(d + 1)]
+    return ([a[d - 1 - j].scale(j + 1) for j in range(d)],
+            [a[d - j].scale(d - j) for j in range(d)])
 
 
 def discriminant_binary(d: int, mode: str = "generic", form: Poly | None = None):
@@ -133,11 +113,7 @@ def discriminant_binary(d: int, mode: str = "generic", form: Poly | None = None)
     if mode == "generic":
         if d > 6:
             raise PreconditionError("generic discriminants limited to d <= 6")
-        f = generic_binary_form(d)
-        px = f.partial(d + 1)
-        py = f.partial(d + 2)
-        pc = _coefficient_polys(px, d, d - 1)
-        qc = _coefficient_polys(py, d, d - 1)
+        pc, qc = _generic_partials(d)
         zero = Poly.zero(d + 1, ZZ)
         one = Poly.constant(d + 1, ZZ, 1)
         rows = sylvester_matrix(pc, qc, d - 1, d - 1, zero)
@@ -161,28 +137,28 @@ class QuarticST(NamedTuple):
     D: object
 
 
+def _st(a: list, const) -> QuarticST:
+    """S, T and D = 4*S^3 - T^2 from the five coefficients a_0..a_4, where
+    const(k) is the integer k in the coefficients' ring."""
+    s = const(12) * a[0] * a[4] - const(3) * a[1] * a[3] + a[2] * a[2]
+    t = (const(72) * a[0] * a[2] * a[4] - const(27) * a[0] * a[3] * a[3]
+         + const(9) * a[1] * a[2] * a[3] - const(27) * a[1] * a[1] * a[4]
+         - const(2) * a[2] * a[2] * a[2])
+    return QuarticST(s, t, const(4) * s * s * s - t * t)
+
+
 def quartic_st(coeffs, domain: Domain) -> QuarticST:
     """The degree-2 and degree-3 invariants of a binary quartic and
     D = 4*S^3 - T^2, computed in the given domain."""
     if len(coeffs) != 5:
         raise PreconditionError("a binary quartic has five coefficients")
-    a0, a1, a2, a3, a4 = (domain.coerce(c) for c in coeffs)
-    s = 12 * a0 * a4 - 3 * a1 * a3 + a2 * a2
-    t = (72 * a0 * a2 * a4 - 27 * a0 * a3 * a3 + 9 * a1 * a2 * a3
-         - 27 * a1 * a1 * a4 - 2 * a2 * a2 * a2)
-    d = 4 * s * s * s - t * t
-    return QuarticST(s, t, d)
+    return _st([domain.coerce(c) for c in coeffs], domain.coerce)
 
 
 def quartic_st_generic():
     """Symbolic S, T, D over ZZ in the coefficient variables a_0..a_4."""
-    a = [Poly.variable(5, ZZ, i) for i in range(5)]
-    s = (a[0] * a[4]).scale(12) - (a[1] * a[3]).scale(3) + a[2] * a[2]
-    t = ((a[0] * a[2] * a[4]).scale(72) - (a[0] * a[3] * a[3]).scale(27)
-         + (a[1] * a[2] * a[3]).scale(9) - (a[1] * a[1] * a[4]).scale(27)
-         - (a[2] * a[2] * a[2]).scale(2))
-    d = (s * s * s).scale(4) - t * t
-    return s, t, d
+    return tuple(_st([Poly.variable(5, ZZ, i) for i in range(5)],
+                     lambda k: Poly.constant(5, ZZ, k)))
 
 
 # -- univariate gcd and smoothness ----------------------------------------------
@@ -292,17 +268,14 @@ class ExtensionField:
         self.p = p
         self.e = e
         self.modulus = self._find_modulus(p, e)
-        # reduction table: the vector of t^(e+k) for k = 0..e-2
+        # reduction table: the vector of t^(e+k) mod the modulus, k = 0..e-2
+        fp = FP(p)
+        m = [fp.coerce(c) for c in self.modulus]
         self._reduction = []
-        tail = [(-c) % p for c in self.modulus[:e]]
-        current = tail[:]
-        for _ in range(e - 1):
-            self._reduction.append(tuple(current))
-            carry = current[-1]
-            shifted = [0] + current[:-1]
-            if carry:
-                shifted = [(s + carry * t) % p for s, t in zip(shifted, tail)]
-            current = shifted
+        for k in range(e - 1):
+            rem = _uni_mod([fp.zero()] * (e + k) + [fp.one()], m, fp)
+            rem += [fp.zero()] * (e - len(rem))
+            self._reduction.append(tuple(c.residue for c in rem))
 
     @staticmethod
     def _find_modulus(p: int, e: int) -> list:
@@ -409,7 +382,6 @@ def singular_locus_enumerate(f: Poly, e: int,
     if include_form:
         polys.append(f)
     polys = [g for g in polys if not g.is_zero()]  # zero imposes no condition
-    q_elements = list(field.elements())
 
     def evaluate(g: Poly, point: list) -> tuple:
         acc = field.zero()
@@ -425,7 +397,7 @@ def singular_locus_enumerate(f: Poly, e: int,
     for lead in range(n1):
         prefix = [field.zero()] * lead + [field.one()]
         tail_len = n1 - lead - 1
-        for tail in product(q_elements, repeat=tail_len):
+        for tail in product(field.elements(), repeat=tail_len):
             point = prefix + list(tail)
             if all(not any(evaluate(g, point)) for g in polys):
                 points.append(ProjPoint(tuple(point), p, e))

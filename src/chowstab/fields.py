@@ -14,9 +14,6 @@ from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
 
-# Rationals are stdlib fractions: normalized, positive denominator, exact.
-Rational = Fraction
-
 _MR_BASES = (2, 7, 61)  # deterministic Miller-Rabin witnesses below 2^31
 
 
@@ -160,10 +157,6 @@ class Domain:
             raise ValueError("p only applies to FP domains")
         self.kind = kind
         self.p = p
-
-    @property
-    def characteristic(self) -> int:
-        return self.p if self.kind == "FP" else 0
 
     def zero(self):
         return self.coerce(0)

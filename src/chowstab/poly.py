@@ -176,12 +176,6 @@ class Poly:
         return Poly(self.nvars, self.domain,
                     {e: c0 * c for e, c in self.terms.items()})
 
-    def shift_by_variable(self, i: int) -> "Poly":
-        """Multiply by the variable x_i (exponent shift, no coefficient work)."""
-        return Poly(self.nvars, self.domain,
-                    {e[:i] + (e[i] + 1,) + e[i + 1:]: c
-                     for e, c in self.terms.items()})
-
     # -- calculus ------------------------------------------------------------
 
     def partial(self, i: int) -> "Poly":
@@ -422,33 +416,6 @@ def _parse_term(sc: _Scanner, nvars: int):
 # -- the named operations ----------------------------------------------------
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    """Exact product; over a domain nonzero inputs give a nonzero product."""
-    return a * b
-
-
-def partial_derivative(f: Poly, i: int) -> Poly:
-    """Characteristic-aware partial derivative with respect to x_i."""
-    return f.partial(i)
-
-
-def euler_residual(f: Poly) -> Poly:
-    """d*f - sum_i x_i * df/dx_i for homogeneous f of degree d.
-
-    Always the zero polynomial; kept as a consistency check on the calculus
-    code (both sides may vanish separately when the characteristic divides d).
-    """
-    if f.is_zero():
-        return f
-    d = f.homogeneous_degree
-    if d is None:
-        raise PreconditionError("euler_residual requires a homogeneous polynomial")
-    acc = f.scale(d)
-    for i in range(f.nvars):
-        acc = acc - f.partial(i).shift_by_variable(i)
-    return acc
-
-
 def reduce_mod_p(f: Poly, p: int) -> Poly:
     """Coefficient-wise reduction of a ZZ/QQ polynomial into F_p."""
     if f.domain.kind == "FP":
@@ -471,22 +438,6 @@ def apply_matrix(f: Poly, matrix: Sequence[Sequence]) -> Poly:
         raise PreconditionError("matrix is singular")
     units = [tuple(u) for u in identity_matrix(n)]  # exponents of x_0..x_n-1
     return f.subs([Poly(n, f.domain, dict(zip(units, row))) for row in rows])
-
-
-def support(f: Poly) -> frozenset:
-    """Exponent vectors carrying a nonzero coefficient."""
-    return f.support()
-
-
-def weighted_multiplicity(f: Poly, w: Sequence[int]) -> int:
-    """Lowest w-weight among the monomials of f (w >= 0, not all zero)."""
-    if f.is_zero():
-        raise PreconditionError("weighted multiplicity of the zero polynomial")
-    if len(w) != f.nvars:
-        raise PreconditionError("weight length must equal nvars")
-    if any(x < 0 for x in w) or not any(w):
-        raise PreconditionError("weights must be non-negative and not all zero")
-    return min_inner_product(f, w)
 
 
 def min_inner_product(f: Poly, r: Sequence[int]) -> int:

@@ -53,10 +53,6 @@ class WeightVector:
     def is_r_normalized(self) -> bool:
         return all(a <= b for a, b in zip(self.entries, self.entries[1:]))
 
-    def primitive(self) -> "WeightVector":
-        g = math.gcd(*(abs(e) for e in self.entries))
-        return WeightVector(tuple(e // g for e in self.entries))
-
     def __len__(self):
         return len(self.entries)
 

@@ -35,6 +35,10 @@ _MAX_WEIGHTS = 10**7
 # fpt_nu refuses a Frobenius power p^e above this.
 _MAX_PRIME_POWER = 2**16
 
+# fpt_nu refuses a product g * f with more term pairs than this, checked
+# before the product is formed.
+_MAX_PRODUCT_TERMS = 2**18
+
 
 @dataclass(frozen=True)
 class WeightAssignment:
@@ -180,7 +184,8 @@ def fpt_nu(f: Poly, e: int) -> int:
     m^[p^(k+1)], and is then multiplied by f, truncating, while the product
     is nonzero.  nu_(k+1) lies in [p*nu_k, p*nu_k + p - 1], so each level
     costs at most p products.  Truncation is sound because a discarded
-    monomial can never re-enter.
+    monomial can never re-enter.  A product of more than _MAX_PRODUCT_TERMS
+    term pairs is refused before it is formed.
     """
     _check_divisor(f)
     if f.domain.kind != "FP":
@@ -201,6 +206,10 @@ def fpt_nu(f: Poly, e: int) -> int:
                  {tuple(x * p for x in exp): c for exp, c in g.terms.items()})
         nu *= p
         while True:
+            if len(g) * len(f) > _MAX_PRODUCT_TERMS:
+                raise PreconditionError(
+                    f"product of {len(g)} by {len(f)} terms exceeds the "
+                    f"limit {_MAX_PRODUCT_TERMS} at p^{k} = {q}")
             h = _truncate(g * f, q)
             if h.is_zero():
                 break

@@ -9,7 +9,7 @@ from chowstab import FP, QQ, ZZ, Poly, PreconditionError, \
     quartic_st_generic, reduce_mod_p, singular_locus_enumerate, \
     smoothness_binary, sylvester_resultant
 from chowstab import discriminants
-from chowstab.discriminants import ExtensionField, generic_binary_form
+from chowstab.discriminants import ExtensionField
 
 from conftest import random_coeff
 
@@ -289,6 +289,16 @@ def test_singular_points_size_guard():
         singular_locus_enumerate(f, 4)
 
 
+def test_singular_points_one_variable_never_lists_the_field(monkeypatch):
+    def unlisted(self):
+        raise AssertionError("the elements of F_q were read")
+        yield
+
+    monkeypatch.setattr(ExtensionField, "elements", unlisted)
+    f = parse_poly("x0^5", 1, FP(5))  # the partial vanishes identically
+    assert list(map(str, singular_locus_enumerate(f, 3))) == ["(1)"]
+
+
 def test_cyclic_exponent_values():
     assert cyclic_critical_exponent(2, 3) == 9
     assert cyclic_critical_exponent(1, 2) == 0   # the degenerate family
@@ -297,7 +307,33 @@ def test_cyclic_exponent_values():
         cyclic_critical_exponent(0, 3)
 
 
-def test_generic_form_layout():
-    f = generic_binary_form(4)
-    assert f.nvars == 7
-    assert len(f) == 5
+# -- the generic Sylvester entries against the form they are read from ----------
+
+def generic_binary_form(d):
+    """sum_k a_k * X0^(d-k) * X1^k over ZZ, variables (a_0..a_d, X0, X1)."""
+    terms = {}
+    for k in range(d + 1):
+        exp = [0] * (d + 3)
+        exp[k] = 1
+        exp[d + 1] = d - k
+        exp[d + 2] = k
+        terms[tuple(exp)] = 1
+    return Poly(d + 3, ZZ, terms)
+
+
+def _coefficient_polys(f, d, form_degree):
+    """Entry k: the coefficient of X0^k X1^(form_degree - k), in a_0..a_d."""
+    out = [dict() for _ in range(form_degree + 1)]
+    for exp, c in f.terms.items():
+        k = exp[d + 1]
+        assert exp[d + 2] == form_degree - k
+        out[k][exp[:d + 1]] = c
+    return [Poly(d + 1, ZZ, t) for t in out]
+
+
+def test_generic_sylvester_entries_match_the_partials_of_the_form():
+    for d in range(2, 13):
+        f = generic_binary_form(d)
+        assert discriminants._generic_partials(d) == (
+            _coefficient_polys(f.partial(d + 1), d, d - 1),
+            _coefficient_polys(f.partial(d + 2), d, d - 1))

@@ -7,6 +7,7 @@ kept here as the oracle, with its own modular multiply, and it walks every
 monic candidate in the old order, constant term 0 included.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -96,11 +97,16 @@ def _pairs(limit, primes):
 # -- comparisons ------------------------------------------------------------------
 
 def test_oracle_multiply_is_field_multiply():
-    field = ExtensionField(3, 4)
-    elements = list(field.elements())[::7]
-    for a in elements:
-        for b in elements:
-            assert _mul_mod(a, b, field.modulus, 3) == field.mul(a, b)
+    # on every small field: checks the reduction rows of t^(e+k) mod m
+    rng = random.Random(11)
+    for p, e in _pairs(729, [2, 3, 5, 7]):
+        field = ExtensionField(p, e)
+        elements = list(field.elements())
+        sample = rng.sample(elements, min(len(elements), 12))
+        for a in sample:
+            for b in sample:
+                assert _mul_mod(a, b, field.modulus, p) == field.mul(a, b), \
+                    (p, e, a, b)
 
 
 @pytest.mark.parametrize("p, e", _pairs(729, [2, 3, 5, 7]))

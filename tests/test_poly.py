@@ -5,13 +5,24 @@ from fractions import Fraction
 
 import pytest
 
+import chowstab
 from chowstab import FP, QQ, ZZ, ParseError, Poly, PreconditionError, \
-    PrimeFieldElem, apply_matrix, euler_residual, is_prime, parse_poly, \
-    partial_derivative, poly_mul, reduce_mod_p, support, weighted_multiplicity
+    PrimeFieldElem, apply_matrix, is_prime, lct_upper_bound, parse_poly, \
+    reduce_mod_p
 from chowstab.poly import bareiss_det, identity_matrix, mat_mul, \
-    matrix_det
+    matrix_det, min_inner_product
 
 from conftest import random_domain, random_homogeneous
+
+
+def test_public_names_resolve_once():
+    names = chowstab.__all__
+    assert all(hasattr(chowstab, name) for name in names)
+    assert len(names) == len(set(names))
+    removed = {"poly_mul", "partial_derivative", "support",
+               "weighted_multiplicity", "euler_residual", "Rational"}
+    assert not removed & set(names)
+    assert not any(hasattr(chowstab, name) for name in removed)
 
 
 # -- prime field scalars -------------------------------------------------------
@@ -126,25 +137,25 @@ def test_print_zero():
 def test_mul_difference_of_squares():
     a = parse_poly("x0 + x1", 2, QQ)
     b = parse_poly("x0 - x1", 2, QQ)
-    assert poly_mul(a, b) == parse_poly("x0^2 - x1^2", 2, QQ)
+    assert a * b == parse_poly("x0^2 - x1^2", 2, QQ)
 
 
 def test_mul_frobenius_mod2():
     a = parse_poly("x0 + x1", 2, FP(2))
-    assert poly_mul(a, a) == parse_poly("x0^2 + x1^2", 2, FP(2))
+    assert a * a == parse_poly("x0^2 + x1^2", 2, FP(2))
 
 
 def test_mul_monomials_degree_adds():
     a = parse_poly("x0", 3, QQ)
     b = parse_poly("x1*x2", 3, QQ)
-    prod = poly_mul(a, b)
+    prod = a * b
     assert prod == parse_poly("x0*x1*x2", 3, QQ)
     assert prod.homogeneous_degree == 3
 
 
 def test_mul_domain_mismatch():
     with pytest.raises(PreconditionError):
-        poly_mul(parse_poly("x0", 1, QQ), parse_poly("x0", 1, ZZ))
+        parse_poly("x0", 1, QQ) * parse_poly("x0", 1, ZZ)
 
 
 def test_mul_nonzero_product_and_minkowski():
@@ -157,7 +168,7 @@ def test_mul_nonzero_product_and_minkowski():
         assert not prod.is_zero()
         minkowski = {tuple(a + b for a, b in zip(e1, e2))
                      for e1 in f.terms for e2 in g.terms}
-        assert support(prod) <= minkowski
+        assert prod.support() <= minkowski
 
 
 def test_weighted_min_parts_multiply():
@@ -169,8 +180,8 @@ def test_weighted_min_parts_multiply():
         w = tuple(rng.randrange(0, 5) for _ in range(3))
         if not any(w):
             w = (1, 1, 1)
-        assert weighted_multiplicity(f * g, w) == \
-            weighted_multiplicity(f, w) + weighted_multiplicity(g, w)
+        assert min_inner_product(f * g, w) == \
+            min_inner_product(f, w) + min_inner_product(g, w)
 
 
 def test_frobenius_additive_over_fp():
@@ -188,22 +199,31 @@ def test_partial_char_p_identity():
     # d/dx of x^(p+1) + x^p is x^p: the p-th power term differentiates to zero
     for p in (2, 3, 5):
         f = parse_poly(f"x0^{p + 1} + x0^{p}", 1, FP(p))
-        assert partial_derivative(f, 0) == parse_poly(f"x0^{p}", 1, FP(p))
+        assert f.partial(0) == parse_poly(f"x0^{p}", 1, FP(p))
 
 
 def test_partial_kills_divisible_exponent():
     f = parse_poly("x0^4", 1, FP(2))
-    assert partial_derivative(f, 0).is_zero()
+    assert f.partial(0).is_zero()
 
 
 def test_partial_power_rule():
     f = parse_poly("x0^2*x1^3", 2, QQ)
-    assert partial_derivative(f, 1) == parse_poly("3*x0^2*x1^2", 2, QQ)
+    assert f.partial(1) == parse_poly("3*x0^2*x1^2", 2, QQ)
 
 
 def test_partial_index_out_of_range():
     with pytest.raises(PreconditionError):
-        partial_derivative(parse_poly("x0", 1, QQ), 1)
+        parse_poly("x0", 1, QQ).partial(1)
+
+
+def euler_residual(f):
+    """d*f - sum_i x_i * df/dx_i for a form f of degree d: always zero, in
+    every characteristic (both sides may vanish when it divides d)."""
+    acc = f.scale(f.homogeneous_degree)
+    for i in range(f.nvars):
+        acc = acc - f.partial(i) * Poly.variable(f.nvars, f.domain, i)
+    return acc
 
 
 def test_euler_residual_examples():
@@ -219,11 +239,6 @@ def test_euler_residual_random_any_characteristic():
         f = random_homogeneous(rng, rng.randrange(2, 5), rng.randrange(1, 7),
                                rng.randrange(1, 10), domain)
         assert euler_residual(f).is_zero()
-
-
-def test_euler_residual_rejects_inhomogeneous():
-    with pytest.raises(PreconditionError):
-        euler_residual(parse_poly("x0^2 + x1", 2, QQ))
 
 
 # -- reduction mod p -------------------------------------------------------------
@@ -310,26 +325,26 @@ def test_apply_matrix_preserves_degree():
 
 def test_support_examples():
     f = parse_poly("x0^3 + x1^3 + x2^3", 3, QQ)
-    assert support(f) == {(3, 0, 0), (0, 3, 0), (0, 0, 3)}
-    assert support(Poly.zero(2, QQ)) == frozenset()
+    assert f.support() == {(3, 0, 0), (0, 3, 0), (0, 0, 3)}
+    assert Poly.zero(2, QQ).support() == frozenset()
     g = parse_poly("x0 + x1", 2, FP(2))
-    assert support(g * g) == {(2, 0), (0, 2)}
+    assert (g * g).support() == {(2, 0), (0, 2)}
 
 
 def test_weighted_multiplicity_examples():
     f = parse_poly("x0^2 + x1^3", 2, QQ)
-    assert weighted_multiplicity(f, (3, 2)) == 6
+    assert min_inner_product(f, (3, 2)) == 6
     g = parse_poly("1 + x0^3 + x1^3", 2, QQ)
-    assert weighted_multiplicity(g, (1, 2)) == 0
+    assert min_inner_product(g, (1, 2)) == 0
     h = parse_poly("x0*x1", 2, QQ)
-    assert weighted_multiplicity(h, (0, 1)) == 1
+    assert min_inner_product(h, (0, 1)) == 1
 
 
 def test_weighted_multiplicity_errors():
     with pytest.raises(PreconditionError):
-        weighted_multiplicity(Poly.zero(2, QQ), (1, 1))
-    with pytest.raises(PreconditionError):
-        weighted_multiplicity(parse_poly("x0", 2, QQ), (0, 0))
+        min_inner_product(Poly.zero(2, QQ), (1, 1))
+    with pytest.raises(PreconditionError):  # weights are checked by the bound
+        lct_upper_bound(parse_poly("x0", 2, QQ), (0, 0))
 
 
 # -- exact division ----------------------------------------------------------------

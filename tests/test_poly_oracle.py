@@ -4,7 +4,7 @@ replaced.
 Addition, multiplication, dehomogenization and parsing each used to carry
 their own "add into a dict, drop zero sums" loop; subs summed one Poly per
 source term and exact_div built four Polys per quotient term.  Partial
-derivatives, scaling, shifts, translation, reduction mod p and the images
+derivatives, scaling, translation, reduction mod p and the images
 of apply_matrix dropped zero coefficients themselves, which the
 constructor now does.  Those paths are
 kept here as oracles: the new code must give the same terms, in the same
@@ -145,15 +145,6 @@ def old_partial(f, i):
         e2 = list(e)
         e2[i] -= 1
         terms[tuple(e2)] = c2
-    return Poly(f.nvars, f.domain, terms)
-
-
-def old_shift_by_variable(f, i):
-    terms = {}
-    for e, c in f.terms.items():
-        e2 = list(e)
-        e2[i] += 1
-        terms[tuple(e2)] = c
     return Poly(f.nvars, f.domain, terms)
 
 
@@ -304,7 +295,6 @@ def test_calculus_shifts_and_reduction_match_old_path():
                              for i in range(nvars))])
         for i in range(nvars):
             assert_same(f.partial(i), old_partial(f, i))
-            assert_same(f.shift_by_variable(i), old_shift_by_variable(f, i))
         for value in (0, 1, -3, Fraction(2, 3) if domain.kind != "ZZ" else 7):
             assert_same(f.scale(value), old_scale(f, value))
         point = [rng.choice([0, 1, -2]) for _ in range(nvars)]

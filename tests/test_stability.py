@@ -28,12 +28,12 @@ def test_weight_vector_validation():
         WeightVector((0, 0, 0))
     assert WeightVector((-1, 0, 1)).is_r_normalized
     assert not WeightVector((1, 0, -1)).is_r_normalized
-    assert WeightVector((4, -2, -2)).primitive().entries == (2, -1, -1)
 
 
 def test_primitive_integer_vector():
     assert primitive_integer_vector([Fraction(1), Fraction(-1, 2),
                                      Fraction(-1, 2)]) == (2, -1, -1)
+    assert primitive_integer_vector([4, -2, -2]) == (2, -1, -1)
     with pytest.raises(PreconditionError):
         primitive_integer_vector([0, 0])
 

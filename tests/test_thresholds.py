@@ -183,6 +183,31 @@ def test_fpt_nu_cap_is_a_module_constant(monkeypatch):
         fpt_interval(f, 4)
 
 
+def test_fpt_nu_product_cap_is_checked_before_the_product(monkeypatch):
+    f = parse_poly("x0^2 + x1^3 + x0*x1^5", 2, FP(2))
+    pairs = []
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        pairs.append(len(a) * len(b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    assert fpt_nu(f, 4) == 7
+    largest = max(pairs)
+    assert largest == 33
+    pairs.clear()
+    monkeypatch.setattr(thresholds, "_MAX_PRODUCT_TERMS", largest)
+    assert fpt_nu(f, 4) == 7
+    assert max(pairs) == largest
+    pairs.clear()
+    monkeypatch.setattr(thresholds, "_MAX_PRODUCT_TERMS", largest - 1)
+    with pytest.raises(PreconditionError,
+                       match=r"product of 11 by 3 terms exceeds the limit 32"):
+        fpt_nu(f, 4)
+    assert pairs and max(pairs) < largest
+
+
 def test_fpt_interval_examples():
     f = parse_poly("x0^2", 1, FP(3))
     interval = fpt_interval(f, 2)
