@@ -17,7 +17,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -34,23 +33,6 @@ from .thresholds import INFINITY, blowup_discrepancy, fpt_interval, \
     lct_bound_optimize, lct_upper_bound, lee_verdict
 
 SCHEMA_VERSION = "1"
-
-
-@dataclass
-class CertificateDocument:
-    schema_version: str
-    command: str
-    inputs: dict
-    result: dict
-    timing_ms: int
-
-    def to_json(self) -> str:
-        payload = {"schema_version": self.schema_version,
-                   "command": self.command,
-                   "inputs": jsonable(self.inputs),
-                   "result": jsonable(self.result),
-                   "timing_ms": self.timing_ms}
-        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def jsonable(x):
@@ -149,8 +131,7 @@ def read_poly_file(path: str) -> tuple:
         consumed = body[:pos - 1]
         line = 2 + consumed.count("\n")
         col = pos - (consumed.rfind("\n") + 1)
-        raise ParseError(str(exc).split(" (")[0], line=line, position=col) \
-            from None
+        raise ParseError(exc.message, line=line, position=col) from None
     return poly, domain
 
 
@@ -548,10 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_human(doc: CertificateDocument) -> str:
-    lines = [f"command: {doc.command}"]
-    for key in sorted(doc.result):
-        lines.append(f"{key}: {json.dumps(jsonable(doc.result[key]))}")
+def _render_human(command: str, result: dict) -> str:
+    lines = [f"command: {command}"]
+    for key in sorted(result):
+        lines.append(f"{key}: {json.dumps(jsonable(result[key]))}")
     return "\n".join(lines)
 
 
@@ -600,16 +581,13 @@ def run(argv) -> int:
         print(f"chowstab: error: {exc}", file=sys.stderr)
         return 3
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    doc = CertificateDocument(
-        schema_version=SCHEMA_VERSION,
-        command=args.command,
-        inputs=inputs,
-        result=result,
-        timing_ms=elapsed_ms if args.timing else 0)
     if args.json:
-        print(doc.to_json())
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
+               "inputs": inputs, "result": result,
+               "timing_ms": elapsed_ms if args.timing else 0}
+        print(json.dumps(jsonable(doc), sort_keys=True, indent=2))
     else:
-        print(_render_human(doc))
+        print(_render_human(args.command, result))
         if args.timing:
             print(f"timing_ms: {elapsed_ms}", file=sys.stderr)
     return 0

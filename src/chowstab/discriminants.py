@@ -22,6 +22,9 @@ from .poly import Poly, bareiss_det
 # singular_locus_enumerate refuses a search over more coordinate vectors than
 # this, checked before the modulus search and the field are built.
 _MAX_POINTS = 10**7
+# sylvester_resultant refuses a Sylvester matrix with more rows than this
+# (m + n from the declared degrees), checked before any coefficient list.
+_MAX_SYLVESTER_SIZE = 100
 
 # -- Sylvester resultants -----------------------------------------------------
 
@@ -62,7 +65,8 @@ def sylvester_resultant(p: Poly, q: Poly, deg_p: int | None = None,
     at x1 = 1; declared degrees default to the homogeneous degree (or the
     x0-degree for already-affine input) and control the matrix size, so
     vanishing leading coefficients mean a root at infinity.  Zero iff the
-    forms share a projective root over the algebraic closure.
+    forms share a projective root over the algebraic closure.  A matrix
+    size m + n over _MAX_SYLVESTER_SIZE is refused before any work.
     """
     for f in (p, q):
         if f.is_zero():
@@ -73,13 +77,17 @@ def sylvester_resultant(p: Poly, q: Poly, deg_p: int | None = None,
         raise PreconditionError(f"domain mismatch: {p.domain} vs {q.domain}")
     m = deg_p if deg_p is not None else _default_degree(p)
     n = deg_q if deg_q is not None else _default_degree(q)
+    if m + n > _MAX_SYLVESTER_SIZE:
+        raise PreconditionError(
+            f"Sylvester matrix size m+n = {m + n} exceeds the configured "
+            f"limit {_MAX_SYLVESTER_SIZE}")
     pc = _univariate_coeffs(p, m)
     qc = _univariate_coeffs(q, n)
     domain = p.domain
     if m + n == 0:
         return domain.one()
     rows = sylvester_matrix(pc, qc, m, n, domain.zero())
-    return bareiss_det(rows, domain.zero(), domain.one(), domain.kind)
+    return bareiss_det(rows, domain.zero(), domain.one())
 
 
 def _default_degree(f: Poly) -> int:
@@ -117,7 +125,7 @@ def discriminant_binary(d: int, mode: str = "generic", form: Poly | None = None)
         zero = Poly.zero(d + 1, ZZ)
         one = Poly.constant(d + 1, ZZ, 1)
         rows = sylvester_matrix(pc, qc, d - 1, d - 1, zero)
-        return bareiss_det(rows, zero, one, "ZZ")
+        return bareiss_det(rows, zero, one)
     if mode == "numeric":
         if form is None or form.nvars != 2:
             raise PreconditionError("numeric mode needs a binary form")
@@ -170,14 +178,14 @@ def _uni_trim(c: list) -> list:
     return c
 
 
-def _uni_derivative(c: list, domain: Domain) -> list:
-    return _uni_trim([domain.coerce(k) * c[k] for k in range(1, len(c))])
+def _uni_derivative(c: list) -> list:
+    return _uni_trim([c[k] * k for k in range(1, len(c))])
 
 
-def _uni_mod(a: list, b: list, domain: Domain) -> list:
-    """Remainder of a by b over a field (b nonzero)."""
+def _uni_mod(a: list, b: list) -> list:
+    """Remainder of a by b != 0 in the entries' field; coerce ints first."""
     a = list(a)
-    lead_inv = domain.one() / b[-1]
+    lead_inv = 1 / b[-1]
     while len(a) >= len(b):
         factor = a[-1] * lead_inv
         shift = len(a) - len(b)
@@ -191,10 +199,11 @@ def _uni_mod(a: list, b: list, domain: Domain) -> list:
     return a
 
 
-def _uni_gcd(a: list, b: list, domain: Domain) -> list:
+def _uni_gcd(a: list, b: list) -> list:
+    """Unnormalised gcd over the entries' field, as _uni_mod reads it."""
     a, b = _uni_trim(list(a)), _uni_trim(list(b))
     while b:
-        a, b = b, _uni_mod(a, b, domain)
+        a, b = b, _uni_mod(a, b)
     return a
 
 
@@ -216,13 +225,12 @@ def smoothness_binary(f: Poly) -> bool:
     if d == 0:
         return True
     work = Poly(2, QQ, f.terms) if f.domain.kind == "ZZ" else f
-    domain = work.domain
     coeffs = _uni_trim(_univariate_coeffs(work, d))
     if d - (len(coeffs) - 1) >= 2:
         return False  # root at infinity with multiplicity >= 2
     if len(coeffs) == 1:
         return True
-    g = _uni_gcd(coeffs, _uni_derivative(coeffs, domain), domain)
+    g = _uni_gcd(coeffs, _uni_derivative(coeffs))
     return len(g) <= 1
 
 
@@ -243,10 +251,10 @@ def _is_irreducible(modulus: list, p: int) -> bool:
     for _ in range((len(m) - 1) // 2):
         spread = [zero] * ((len(power) - 1) * p + 1)
         spread[::p] = power
-        power = _uni_mod(spread, m, fp)
+        power = _uni_mod(spread, m)
         diff = power + [zero] * (2 - len(power))
         diff[1] -= one
-        if len(_uni_gcd(m, diff, fp)) > 1:
+        if len(_uni_gcd(m, diff)) > 1:
             return False
     return True
 
@@ -273,7 +281,7 @@ class ExtensionField:
         m = [fp.coerce(c) for c in self.modulus]
         self._reduction = []
         for k in range(e - 1):
-            rem = _uni_mod([fp.zero()] * (e + k) + [fp.one()], m, fp)
+            rem = _uni_mod([fp.zero()] * (e + k) + [fp.one()], m)
             rem += [fp.zero()] * (e - len(rem))
             self._reduction.append(tuple(c.residue for c in rem))
 

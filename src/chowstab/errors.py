@@ -15,6 +15,7 @@ class ParseError(ChowstabError):
     """Malformed input text (polynomial grammar, headers, vectors)."""
 
     def __init__(self, message, position=None, line=None):
+        self.message = message  # without the position suffix
         self.position = position
         self.line = line
         where = ""

@@ -251,7 +251,7 @@ class Poly:
             diff = tuple(a - b for a, b in zip(lead, div_lead))
             if any(d < 0 for d in diff):
                 raise PreconditionError("division is not exact")
-            q = _ring_divide(remainder[lead], div_lc, self.domain.kind)
+            q = _ring_divide(remainder[lead], div_lc)
             quotient[diff] = q
             added = [(tuple(map(add, diff, e)), -q * c)
                      for e, c in divisor.terms.items()]
@@ -450,30 +450,30 @@ def min_inner_product(f: Poly, r: Sequence[int]) -> int:
 # -- small exact linear algebra ------------------------------------------------
 
 
-def _ring_divide(a, b, domain_kind: str):
-    if isinstance(a, Poly):
-        return a.exact_div(b)
-    if domain_kind == "ZZ":
+def _ring_divide(a, b):
+    """Exact a / b in the divisor's ring: int by divmod, Poly by exact_div."""
+    if isinstance(b, int):
         q, r = divmod(a, b)
         if r != 0:
             raise PreconditionError("division is not exact")
         return q
+    if isinstance(b, Poly):
+        return a.exact_div(b)
     return a / b
 
 
-def _bareiss_step(row, pivot_row, col: int, prev, domain_kind: str,
-                  start: int = 0):
+def _bareiss_step(row, pivot_row, col: int, prev, start: int = 0):
     """One fraction-free row update (Bareiss 1968), in place: for j >= start,
-    row[j] := (pivot * row[j] - row[col] * pivot_row[j]) / prev, where pivot
-    is pivot_row[col] and the division is exact; prev None divides by one.
+    row[j] := (pivot * row[j] - row[col] * pivot_row[j]) / prev, exactly in
+    the entries' ring, where pivot is pivot_row[col]; prev None divides by 1.
     """
     pivot, lead = pivot_row[col], row[col]
     for j in range(start, len(row)):
         num = pivot * row[j] - lead * pivot_row[j]
-        row[j] = num if prev is None else _ring_divide(num, prev, domain_kind)
+        row[j] = num if prev is None else _ring_divide(num, prev)
 
 
-def _bareiss_eliminate(rows, domain_kind: str) -> tuple:
+def _bareiss_eliminate(rows) -> tuple:
     """Fraction-free forward elimination (Bareiss 1968) of a copy of rows.
 
     Pivots run down the rows; a column with no nonzero entry at or below the
@@ -501,18 +501,18 @@ def _bareiss_eliminate(rows, domain_kind: str) -> tuple:
         pivot_row = m[rank]
         # entries left of col + 1 are never read again, so they stay
         for row in m[rank + 1:]:
-            _bareiss_step(row, pivot_row, col, prev, domain_kind, col + 1)
+            _bareiss_step(row, pivot_row, col, prev, col + 1)
         prev = pivot_row[col]
         rank += 1
     return rank, sign, prev
 
 
-def bareiss_det(rows, zero, one, domain_kind: str):
-    """Fraction-free determinant; entries may be ring elements or Poly."""
+def bareiss_det(rows, zero, one):
+    """Fraction-free determinant of entries that all share one ring."""
     n = len(rows)
     if n == 0:
         return one
-    rank, sign, pivot = _bareiss_eliminate(rows, domain_kind)
+    rank, sign, pivot = _bareiss_eliminate(rows)
     if rank < n:
         return zero
     return pivot if sign == 1 else -pivot
@@ -520,14 +520,14 @@ def bareiss_det(rows, zero, one, domain_kind: str):
 
 def integer_rank(rows) -> int:
     """Rank of an integer matrix, by the same fraction-free elimination."""
-    return _bareiss_eliminate(rows, "ZZ")[0]
+    return _bareiss_eliminate(rows)[0]
 
 
 def matrix_det(rows: Sequence[Sequence], domain: Domain):
     """Exact determinant over the domain, as an element of the domain."""
-    # coerce first: plain ints over F_p would otherwise divide as floats
+    # coerce: division follows the entries, so ints would divide as integers
     work = [[domain.coerce(v) for v in row] for row in rows]
-    return bareiss_det(work, domain.zero(), domain.one(), domain.kind)
+    return bareiss_det(work, domain.zero(), domain.one())
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list:

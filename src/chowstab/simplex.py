@@ -124,6 +124,6 @@ def _pivot(rows, basis, row: int, col: int, det: int) -> int:
     pivot_row = rows[row]
     for i, other in enumerate(rows):
         if i != row:
-            _bareiss_step(other, pivot_row, col, det, "ZZ")
+            _bareiss_step(other, pivot_row, col, det)
     basis[row] = col
     return pivot_row[col]

@@ -311,6 +311,9 @@ def test_read_poly_file_error_position(tmp_path):
     with pytest.raises(ParseError) as err:
         read_poly_file(str(path))
     assert err.value.line == 3
+    # the message keeps its own parentheses; only the position is replaced
+    assert str(err.value) == \
+        "variable index 7 out of range (nvars=2) (line 3, col 2)"
 
 
 def test_cli_reads_file(tmp_path, capsys):

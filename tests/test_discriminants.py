@@ -92,6 +92,32 @@ def test_resultant_rejects_zero():
         sylvester_resultant(Poly.zero(2, QQ), parse_poly("x0", 2, QQ))
 
 
+def test_sylvester_size_cap_is_checked_before_the_coefficients(monkeypatch):
+    read = []
+    coeffs = discriminants._univariate_coeffs
+
+    def counted(f, declared):
+        read.append(declared)
+        return coeffs(f, declared)
+
+    monkeypatch.setattr(discriminants, "_univariate_coeffs", counted)
+    monkeypatch.setattr(discriminants, "_MAX_SYLVESTER_SIZE", 5)
+    p, one = parse_poly("x0", 2, QQ), parse_poly("1", 2, QQ)
+    with pytest.raises(PreconditionError,
+                       match=r"Sylvester matrix size m\+n = 6 exceeds the "
+                             r"configured limit 5"):
+        sylvester_resultant(p, one, deg_p=6, deg_q=0)
+    assert read == []
+    assert sylvester_resultant(p, one, deg_p=5, deg_q=0) == 1
+    assert read == [5, 0]
+    # numeric discriminants reach the cap at size 2(d - 1)
+    form = parse_poly("x0^4 + x1^4", 2, QQ)
+    with pytest.raises(PreconditionError, match="m\\+n = 6"):
+        discriminant_binary(4, "numeric", form)
+    monkeypatch.setattr(discriminants, "_MAX_SYLVESTER_SIZE", 6)
+    assert discriminant_binary(4, "numeric", form) != 0
+
+
 # -- discriminants -----------------------------------------------------------------
 
 def test_disc_quartic_golden_scalar():

@@ -3,8 +3,9 @@
 ExtensionField used to pick its modulus with Rabin's test: x^(p^e) = x mod
 m, and gcd(x^(p^(e/l)) - x, m) = 1 for every prime l dividing e, with the
 powers taken in a half-built field on the candidate modulus.  That path is
-kept here as the oracle, with its own modular multiply, and it walks every
-monic candidate in the old order, constant term 0 included.
+kept here as the oracle, with its own modular multiply and gcd on plain ints,
+and it walks every monic candidate in the old order, constant term 0
+included.
 """
 
 import random
@@ -12,10 +13,8 @@ from itertools import product
 
 import pytest
 
-from chowstab import FP
 from chowstab import discriminants
-from chowstab.discriminants import ExtensionField, _is_irreducible, \
-    _uni_gcd, _uni_trim
+from chowstab.discriminants import ExtensionField, _is_irreducible
 
 
 # -- the old path, verbatim in behaviour --------------------------------------
@@ -34,6 +33,28 @@ def _mul_mod(a, b, modulus, p):
             for i in range(e):
                 conv[k - e + i] -= c * modulus[i]
     return tuple(c % p for c in conv[:e])
+
+
+def _trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _gcd_mod(a, b, p):
+    """Euclid's gcd over F_p on coefficient lists of residues, constant
+    term first; unnormalised, so only its degree is meaningful."""
+    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):
+            factor = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[shift + i] = (a[shift + i] - factor * bi) % p
+            _trim(a)
+        a, b = b, a
+    return a
 
 
 def _pow_mod(a, k, modulus, p):
@@ -65,17 +86,15 @@ def oracle_irreducible(modulus, p):
     e = len(modulus) - 1
     if e == 1:
         return True
-    fp = FP(p)
     x = (0, 1) + (0,) * (e - 2)
     if _pow_mod(x, p ** e, modulus, p) != x:
         return False
     for ell in oracle_prime_divisors(e):
         sub = _pow_mod(x, p ** (e // ell), modulus, p)
-        diff = _uni_trim([(a - b) % p for a, b in zip(sub, x)])
+        diff = _trim([(a - b) % p for a, b in zip(sub, x)])
         if not diff:
             return False
-        g = _uni_gcd([fp.coerce(c) for c in modulus],
-                     [fp.coerce(c) for c in diff], fp)
+        g = _gcd_mod(modulus, diff, p)
         if len(g) > 1:
             return False
     return True

@@ -417,10 +417,20 @@ def test_matrix_det_matches_gaussian_oracle():
 
 
 def test_bareiss_det_over_integers_and_polynomials():
-    assert bareiss_det([[2, 3], [4, 5]], 0, 1, "ZZ") == -2
-    assert bareiss_det([[0, 1], [1, 0]], 0, 1, "ZZ") == -1  # needs a swap
-    assert bareiss_det([], 0, 1, "ZZ") == 1
+    assert bareiss_det([[2, 3], [4, 5]], 0, 1) == -2
+    assert bareiss_det([[0, 1], [1, 0]], 0, 1) == -1  # needs a swap
+    assert bareiss_det([], 0, 1) == 1
     x = [Poly.variable(2, ZZ, i) for i in range(2)]
     zero, one = Poly.zero(2, ZZ), Poly.constant(2, ZZ, 1)
-    det = bareiss_det([[x[0], x[1]], [x[1], x[0]]], zero, one, "ZZ")
+    det = bareiss_det([[x[0], x[1]], [x[1], x[0]]], zero, one)
     assert det == x[0] * x[0] - x[1] * x[1]
+    # the division follows the entries' ring: int, Fraction or F_5
+    rows = [[2, 3, 1], [4, 5, 7], [1, 8, 3]]
+    det = bareiss_det(rows, 0, 1)
+    assert det == -70 and type(det) is int
+    det = bareiss_det([[Fraction(v) for v in row] for row in rows], 0, 1)
+    assert det == -70 and type(det) is Fraction
+    f5 = FP(5)
+    det = bareiss_det([[f5.coerce(v) for v in row] for row in rows],
+                      f5.zero(), f5.one())
+    assert det == f5.coerce(-70) and det.residue == 0
