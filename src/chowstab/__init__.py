@@ -18,8 +18,8 @@ from .fields import FP, QQ, ZZ, Domain, PrimeFieldElem, domain_from_tag, \
 from .poly import Poly, apply_matrix, parse_poly, reduce_mod_p
 from .stability import BracketSupport, SearchBudget, StabilityCertificate, \
     Verdict, WeightVector, bracket_from_hypersurface, destab_search, \
-    lee_ratio, lp_membership_maxmin, mu_bracket, mu_hypersurface, \
-    numerical_identity_check, torus_certificate
+    lee_ratio, mu_bracket, mu_hypersurface, numerical_identity_check, \
+    torus_certificate
 from .thresholds import INFINITY, LeeOutcome, LeeVerdict, ThresholdInterval, \
     WeightAssignment, blowup_discrepancy, fpt_interval, fpt_nu, \
     lct_bound_optimize, lct_upper_bound, lee_verdict
@@ -36,8 +36,8 @@ __all__ = [
     "cyclic_critical_exponent", "destab_search", "discriminant_binary",
     "domain_from_tag", "fpt_interval", "fpt_nu", "is_prime",
     "lct_bound_optimize", "lct_upper_bound", "lee_ratio", "lee_verdict",
-    "lift_support", "lp_membership_maxmin", "mu_bracket", "mu_hypersurface",
-    "multiple_cycle", "numerical_identity_check", "parse_poly", "quartic_st",
+    "lift_support", "mu_bracket", "mu_hypersurface", "multiple_cycle",
+    "numerical_identity_check", "parse_poly", "quartic_st",
     "quartic_st_generic", "reduce_mod_p", "singular_locus_enumerate",
     "smoothness_binary", "sum_cycles", "sylvester_resultant",
     "torus_certificate", "transfer_check",

@@ -166,23 +166,12 @@ def _opt(*flags, convert=None, signed=False, **kwargs) -> Option:
     return Option(flags, kwargs, dest, convert, signed)
 
 
-class PerChart(NamedTuple):
-    """A local computation that --points repeats at further chart origins."""
-
-    key: str  # result field minimised over the charts
-    min_key: str  # name of that minimum in the result
-    help: Optional[str] = None  # help text of --points
-
-
 class Command(NamedTuple):
     """One subcommand.
 
     compute(args) returns (inputs, result) for the certificate document.
     With poly set, the command takes --nvars/--field/--poly/--in, args.poly
-    is the loaded polynomial, and inputs gain its poly and field.  With
-    charts set, compute returns (inputs, at_chart) instead: at_chart maps a
-    local equation to its result, and runs at the origin or at each --points
-    chart origin.
+    is the loaded polynomial, and inputs gain its poly and field.
     """
 
     name: str
@@ -190,7 +179,6 @@ class Command(NamedTuple):
     compute: Callable
     options: tuple = ()
     poly: bool = False
-    charts: Optional[PerChart] = None
 
 
 _POLY_OPTIONS = (
@@ -205,14 +193,12 @@ _N = _opt("--n", type=int, required=True)
 _D = _opt("--d", type=int, required=True)
 _R = _opt("--r", required=True, convert=_parse_weights, signed=True)
 _W = _opt("--w", required=True, convert=_parse_int_tuple, signed=True)
+# last in each command's options, where --help lists it (see _at_charts)
+_POINTS = _opt("--points", default=None, signed=True)
 
 
 def _options(cmd: Command) -> tuple:
-    options = (_POLY_OPTIONS if cmd.poly else ()) + cmd.options
-    if cmd.charts is not None:
-        options += (_opt("--points", default=None, signed=True,
-                         help=cmd.charts.help),)
-    return options
+    return (_POLY_OPTIONS if cmd.poly else ()) + cmd.options
 
 
 def _certificate_result(cert: StabilityCertificate) -> dict:
@@ -288,12 +274,31 @@ def _lift_check(a):
              "mu_pairs": [list(p) for p in report.mu_pairs]})
 
 
+def _at_charts(a, at_chart, key: str, min_key: str) -> dict:
+    """Run at_chart at the origin, or at each chart origin in --points and
+    report the least value of result[key] as result[min_key]."""
+    if not a.points:
+        return at_chart(a.poly)
+    outcomes = []
+    for chunk in a.points.split(";"):
+        point = _parse_rational_csv(chunk)
+        outcomes.append({"point": point, **at_chart(a.poly.translate(point))})
+    return {"per_point": outcomes, min_key: min(r[key] for r in outcomes)}
+
+
+def _lct_bound(a):
+    return ({"w": list(a.w), "points": a.points},
+            _at_charts(a, lambda f: {"bound": lct_upper_bound(f, a.w)},
+                       "bound", "min_bound"))
+
+
 def _lct_optimize(a):
     def at_chart(f):
         best = lct_bound_optimize(f, a.max_weight)
         return {"best_bound": best.best_bound, "best_w": list(best.best_w)}
 
-    return {"max_weight": a.max_weight}, at_chart
+    return ({"max_weight": a.max_weight, "points": a.points},
+            _at_charts(a, at_chart, "best_bound", "min_bound"))
 
 
 def _fpt(a):
@@ -303,7 +308,8 @@ def _fpt(a):
                 "kind": interval.kind,
                 "nu_by_e": [list(x) for x in interval.provenance["nu_by_e"]]}
 
-    return {"emax": a.emax}, at_chart
+    return ({"emax": a.emax, "points": a.points},
+            _at_charts(a, at_chart, "lower", "min_lower"))
 
 
 def _lee_verdict(a):
@@ -409,14 +415,14 @@ COMMANDS = (
             poly=True),
     Command("lct-bound",
             "weighted upper bound for the threshold at the origin",
-            lambda a: ({"w": list(a.w)},
-                       lambda f: {"bound": lct_upper_bound(f, a.w)}),
-            (_W,), poly=True,
-            charts=PerChart("bound", "min_bound",
-                            "extra chart origins, e.g. '0,0;1,2'")),
+            _lct_bound,
+            (_W, _opt("--points", default=None, signed=True,
+                      help="extra chart origins, e.g. '0,0;1,2'")),
+            poly=True),
     Command("lct-optimize", "best weighted bound over primitive weights",
-            _lct_optimize, (_opt("--max-weight", type=int, required=True),),
-            poly=True, charts=PerChart("best_bound", "min_bound")),
+            _lct_optimize,
+            (_opt("--max-weight", type=int, required=True), _POINTS),
+            poly=True),
     Command("blowup-a", "origin blow-up discrepancy of the weighted pair",
             lambda a: ({"w": list(a.w), "c": a.c},
                        {"discrepancy": blowup_discrepancy(a.poly, a.w, a.c)}),
@@ -424,8 +430,7 @@ COMMANDS = (
                       signed=True)),
             poly=True),
     Command("fpt", "F-pure threshold interval", _fpt,
-            (_opt("--emax", type=int, required=True),),
-            poly=True, charts=PerChart("lower", "min_lower")),
+            (_opt("--emax", type=int, required=True), _POINTS), poly=True),
     Command("lee-verdict",
             "stability verdict from a certified threshold lower bound",
             _lee_verdict,
@@ -466,21 +471,8 @@ COMMANDS = (
 )
 
 
-def _at_charts(points, poly: Poly, at_chart, charts: PerChart) -> dict:
-    """Run at_chart at the origin, or at each chart origin in --points."""
-    if not points:
-        return at_chart(poly)
-    outcomes = []
-    for chunk in points.split(";"):
-        point = _parse_rational_csv(chunk)
-        shifted = poly.translate(point)
-        outcomes.append({"point": point, **at_chart(shifted)})
-    return {"per_point": outcomes,
-            charts.min_key: min(r[charts.key] for r in outcomes)}
-
-
 def _execute(cmd: Command, args) -> tuple:
-    """The shared steps around compute: load, convert, run per chart."""
+    """The shared steps around compute: load the polynomial, convert."""
     inputs = {}
     if cmd.poly:
         args.poly, domain = _load_poly(args)
@@ -491,9 +483,6 @@ def _execute(cmd: Command, args) -> tuple:
                     option.convert(getattr(args, option.dest)))
     own_inputs, result = cmd.compute(args)
     inputs.update(own_inputs)
-    if cmd.charts is not None:
-        inputs["points"] = args.points
-        result = _at_charts(args.points, args.poly, result, cmd.charts)
     return inputs, result
 
 

@@ -84,8 +84,6 @@ def sylvester_resultant(p: Poly, q: Poly, deg_p: int | None = None,
     pc = _univariate_coeffs(p, m)
     qc = _univariate_coeffs(q, n)
     domain = p.domain
-    if m + n == 0:
-        return domain.one()
     rows = sylvester_matrix(pc, qc, m, n, domain.zero())
     return bareiss_det(rows, domain.zero(), domain.one())
 

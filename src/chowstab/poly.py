@@ -370,11 +370,9 @@ def parse_poly(text: str, nvars: int, domain: Domain) -> Poly:
 
 def _parse_term(sc: _Scanner, nvars: int):
     num, den = 1, 1
-    have_coeff = False
     ch = sc.peek()
     if ch.isdigit():
         num = sc.read_int()
-        have_coeff = True
         if sc.peek() == "/":
             sc.take()
             den = sc.read_int()
@@ -389,7 +387,6 @@ def _parse_term(sc: _Scanner, nvars: int):
         raise ParseError(f"expected a term, found {ch!r}" if ch else
                          "expected a term", position=sc.pos + 1)
     exps = [0] * nvars
-    saw_factor = False
     while sc.peek() == "x":
         sc.take()
         idx_pos = sc.pos
@@ -402,14 +399,11 @@ def _parse_term(sc: _Scanner, nvars: int):
             sc.take()
             power = sc.read_int()
         exps[idx] += power
-        saw_factor = True
         if sc.peek() == "*":
             sc.take()
             if sc.peek() != "x":
                 raise ParseError("expected a variable after '*'",
                                  position=sc.pos + 1)
-    if not saw_factor and not have_coeff:
-        raise ParseError("empty term", position=sc.pos + 1)
     return num, den, exps
 
 
@@ -433,6 +427,8 @@ def apply_matrix(f: Poly, matrix: Sequence[Sequence]) -> Poly:
     n = f.nvars
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise PreconditionError(f"matrix must be {n}x{n}")
+    # coerced once here, so matrix_det and the Poly rows below re-coerce
+    # domain elements cheaply instead of building each one twice
     rows = [[f.domain.coerce(v) for v in row] for row in matrix]
     if matrix_det(rows, f.domain) == 0:
         raise PreconditionError("matrix is singular")

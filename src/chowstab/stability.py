@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -244,7 +244,7 @@ def numerical_identity_check(f: Poly, r) -> IdentityCheck:
 # -- exact linear programming certificates -------------------------------------
 
 
-def _box_lp(points, objective, with_t: bool, what: str) -> LpResult:
+def _box_lp(points, objective, with_t: bool) -> LpResult:
     """max <objective, r> [+ t]  s.t.  <r, a> [- t] >= 0 for each point a,
     sum r = 0, |r_i| <= 1.
 
@@ -252,7 +252,8 @@ def _box_lp(points, objective, with_t: bool, what: str) -> LpResult:
     surplus per point, then the box slacks p, q (u + p = 1, v + q = 1).
     Rows in order: the points, the box rows (u_i, then v_i, for each i),
     then sum u - sum v = 0.  Returns the optimum (t, or the objective value
-    without t) and r.
+    without t) and r.  Always optimal: r = 0 (t = 0) is feasible, the box
+    bounds the rest.
     """
     dim = len(objective)
     m = len(points)
@@ -287,28 +288,10 @@ def _box_lp(points, objective, with_t: bool, what: str) -> LpResult:
         cost[idx_t] = -1
     status, x, value = solve_standard_lp(rows, rhs, cost)
     if status != OPTIMAL:
+        what = "separation" if with_t else "cone"
         raise PreconditionError(f"{what} LP reported {status}")
     r_star = [x[i] - x[dim + i] for i in range(dim)]
     return LpResult(x[idx_t] if with_t else -value, r_star)
-
-
-def lp_membership_maxmin(points, c) -> LpResult:
-    """max t  s.t.  <r, p - c> >= t for all points p, sum r = 0, |r_i| <= 1.
-
-    Exact rational optimum; t_star > 0 iff c lies outside the convex hull of
-    the points (separation within the zero-sum hyperplane).  Always feasible
-    and bounded, and t_star >= 0 since r = 0 is feasible.
-    """
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    if not pts:
-        raise PreconditionError("empty point set")
-    dim = len(pts[0])
-    cvec = tuple(Fraction(x) for x in c)
-    if len(cvec) != dim or any(len(p) != dim for p in pts):
-        raise PreconditionError("inconsistent dimensions")
-    shifted = [tuple(a - ci for a, ci in zip(p, cvec)) for p in pts]
-    # always optimal: r = 0, t = 0 is feasible and t is bounded
-    return _box_lp(shifted, [0] * dim, True, "separation")
 
 
 def primitive_integer_vector(vec) -> tuple:
@@ -365,21 +348,25 @@ def _torus_verdict(f: Poly) -> Verdict:
     return Verdict.STRICTLY_SEMISTABLE
 
 
-def _torus_unstable_witness(f: Poly):
-    """(witness, mu, t_star) separating the barycenter from the Newton
-    polytope; only called once _torus_verdict has placed it outside."""
-    d = f.homogeneous_degree
-    n1 = f.nvars
-    pts = sorted(f.terms)
-    c = [Fraction(d, n1)] * n1
-    res = lp_membership_maxmin(pts, c)
+def _lp_witness(f: Poly, res: LpResult) -> tuple:
+    """The LP's r as a primitive integer weight, and its mu on f."""
+    witness = WeightVector(primitive_integer_vector(res.r_star))
+    return witness, min_inner_product(f, witness.entries)
+
+
+def _unstable_certificate(f: Poly) -> StabilityCertificate:
+    """The UNSTABLE certificate of a form _torus_verdict placed outside: the
+    separation LP on the exponents shifted by the barycenter c = d/(n+1)."""
+    c = Fraction(f.homogeneous_degree, f.nvars)
+    shifted = [tuple(a - c for a in alpha) for alpha in sorted(f.terms)]
+    res = _box_lp(shifted, [0] * f.nvars, True)
     if res.t_star <= 0:  # impossible: the interior LP was infeasible
         raise PreconditionError("separation LP found no witness outside")
-    witness = WeightVector(primitive_integer_vector(res.r_star))
-    mu = min_inner_product(f, witness.entries)
+    witness, mu = _lp_witness(f, res)
     if mu <= 0:  # impossible: the LP value scales to mu
         raise PreconditionError("separation witness failed verification")
-    return witness, mu, res.t_star
+    return StabilityCertificate(Verdict.UNSTABLE, witness_r=witness,
+                                mu_value=mu, lp_value=res.t_star)
 
 
 def _semistable_witness(f: Poly) -> WeightVector:
@@ -390,10 +377,10 @@ def _semistable_witness(f: Poly) -> WeightVector:
         for sign in (1, -1):
             objective = [0] * n1
             objective[i] = sign
-            res = _box_lp(pts, objective, False, "cone")
+            res = _box_lp(pts, objective, False)
             if res.t_star > 0:
-                witness = WeightVector(primitive_integer_vector(res.r_star))
-                if min_inner_product(f, witness.entries) != 0:
+                witness, mu = _lp_witness(f, res)
+                if mu != 0:
                     raise PreconditionError(
                         "semistable witness failed verification")
                 return witness
@@ -412,9 +399,7 @@ def torus_certificate(f: Poly) -> StabilityCertificate:
     _require_nonzero_homogeneous(f)
     verdict = _torus_verdict(f)
     if verdict is Verdict.UNSTABLE:
-        witness, mu, t_star = _torus_unstable_witness(f)
-        return StabilityCertificate(verdict, witness_r=witness,
-                                    mu_value=mu, lp_value=t_star)
+        return _unstable_certificate(f)
     if verdict is Verdict.STRICTLY_SEMISTABLE:
         return StabilityCertificate(verdict, witness_r=_semistable_witness(f),
                                     mu_value=0, lp_value=Fraction(0))
@@ -540,18 +525,15 @@ def destab_search(f: Poly, budget: SearchBudget) -> StabilityCertificate:
             continue
         seen_matrices.add(key)
         tested += 1
-        transformed = apply_matrix(f, g)
+        transformed = apply_matrix(f, key)
         sup = transformed.support()
         if sup in settled_supports:
             continue
         lp_calls += 1
         if _torus_verdict(transformed) is Verdict.UNSTABLE:
-            witness, mu, t_star = _torus_unstable_witness(transformed)
             counters = SearchCounters(enumerated, tested, lp_calls)
-            return StabilityCertificate(Verdict.UNSTABLE, witness_r=witness,
-                                        witness_g=_matrix_key(g, domain),
-                                        mu_value=mu, lp_value=t_star,
-                                        search_budget_used=counters)
+            return replace(_unstable_certificate(transformed), witness_g=key,
+                           search_budget_used=counters)
         settled_supports.add(sup)
     counters = SearchCounters(enumerated, tested, lp_calls)
     return StabilityCertificate(Verdict.UNKNOWN, search_budget_used=counters)

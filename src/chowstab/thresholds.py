@@ -72,7 +72,7 @@ class WeightAssignment:
 class ThresholdInterval:
     lower: Fraction
     upper: Bound
-    kind: str  # "lct_upper_bound_only" | "fpt_interval"
+    kind: str  # "fpt_interval", the only kind fpt_interval produces
     provenance: dict
 
     def __post_init__(self):

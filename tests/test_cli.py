@@ -2,12 +2,15 @@
 
 import argparse
 import json
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from chowstab.cli import build_parser, read_poly_file, run
+from chowstab.cli import build_parser, main, read_poly_file, run
 from chowstab.discriminants import ExtensionField
 from chowstab import FP, ParseError, parse_poly
 
@@ -196,6 +199,9 @@ def test_resultant_and_disc(capsys):
     doc = _json_result(capsys, ["resultant", "--p", "x0", "--q", "x0+1",
                                 "--field", "q"])
     assert doc["result"]["resultant"] == "1"
+    # two constants: the empty Sylvester matrix, whose determinant is 1
+    doc = _json_result(capsys, ["resultant", "--p", "2", "--q", "3"])
+    assert doc["result"]["resultant"] == "1"
     doc = _json_result(capsys, ["disc", "--d", "2"])
     assert doc["result"]["discriminant"] == "4*a0*a2 - a1^2"
     doc = _json_result(capsys, ["disc", "--d", "4", "--mode", "numeric",
@@ -274,6 +280,40 @@ def test_human_output(capsys):
     assert "mu: -3" in out
 
 
+def test_timing_goes_to_stderr_only(capsys):
+    argv = ["certify-torus", "--nvars", "3", "--poly", "x0*x1*x2"]
+    code, out, err = _capture(capsys, argv)
+    timed_code, timed_out, timed_err = _capture(capsys, ["--timing"] + argv)
+    assert code == timed_code == 0
+    assert timed_out == out
+    assert err == ""
+    assert re.fullmatch(r"timing_ms: \d+\n", timed_err)
+
+
+def test_module_entry_point_matches_run(capsys, monkeypatch):
+    # python -m chowstab runs __main__ and cli.main: the same output and exit
+    # code as an in-process run, for a success (0), a parse error (2) and a
+    # precondition error (3)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, expected in (
+            (["--json", "certify-torus", "--nvars", "3", "--poly",
+              "x0*x1*x2"], 0),
+            (["mu", "--nvars", "3", "--poly", "x0 + x9", "--r", "-1,0,1"], 2),
+            (["certify-torus", "--nvars", "2", "--poly", "x0 - x0"], 3)):
+        proc = subprocess.run([sys.executable, "-m", "chowstab", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (expected, *_capture(capsys, argv)[1:])
+        monkeypatch.setattr(sys, "argv", ["chowstab", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        capsys.readouterr()
+        assert exc.value.code == expected
+
+
 # -- polynomial files --------------------------------------------------------------
 
 def test_read_poly_file(tmp_path):
@@ -305,15 +345,21 @@ def test_read_poly_file_missing_header(tmp_path):
         read_poly_file(str(path))
 
 
-def test_read_poly_file_error_position(tmp_path):
+def test_read_poly_file_error_position(tmp_path, capsys):
     path = tmp_path / "poly.txt"
-    path.write_text("vars=2 field=q\nx0 +\nx7\n")
-    with pytest.raises(ParseError) as err:
-        read_poly_file(str(path))
-    assert err.value.line == 3
-    # the message keeps its own parentheses; only the position is replaced
-    assert str(err.value) == \
-        "variable index 7 out of range (nvars=2) (line 3, col 2)"
+    for text, message in (
+            # the message keeps its own parentheses; only the position is
+            # replaced
+            ("vars=2 field=q\nx0 +\nx7\n",
+             "variable index 7 out of range (nvars=2) (line 3, col 2)"),
+            ("", "empty polynomial file (line 1, col 1)"),
+            ("vars=2 field=q\n", "missing polynomial body (line 2, col 1)")):
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_poly_file(str(path))
+        assert str(err.value) == message
+        assert _capture(capsys, ["certify-torus", "--in", str(path)]) == \
+            (2, "", f"chowstab: parse error: {message}\n")
 
 
 def test_cli_reads_file(tmp_path, capsys):

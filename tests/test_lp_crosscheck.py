@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from chowstab import lp_membership_maxmin, stability
+from chowstab import stability
 from chowstab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, \
     solve_standard_lp
 
@@ -54,7 +54,8 @@ def test_separation_lp_matches_scipy():
             parts.append(d - prev)
             points.append(tuple(parts))
         center = [Fraction(d, dim)] * dim
-        exact = lp_membership_maxmin(points, center)
+        shifted = [tuple(a - c for a, c in zip(p, center)) for p in points]
+        exact = stability._box_lp(shifted, [0] * dim, True)
         approx = _scipy_maxmin(points, [float(x) for x in center])
         assert abs(float(exact.t_star) - approx) < 1e-7
 

@@ -20,7 +20,8 @@ def test_public_names_resolve_once():
     assert all(hasattr(chowstab, name) for name in names)
     assert len(names) == len(set(names))
     removed = {"poly_mul", "partial_derivative", "support",
-               "weighted_multiplicity", "euler_residual", "Rational"}
+               "weighted_multiplicity", "euler_residual", "Rational",
+               "lp_membership_maxmin"}
     assert not removed & set(names)
     assert not any(hasattr(chowstab, name) for name in removed)
 

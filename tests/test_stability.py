@@ -10,8 +10,8 @@ import pytest
 
 from chowstab import FP, QQ, BracketSupport, Poly, PreconditionError, \
     SearchBudget, StabilityCertificate, Verdict, WeightVector, apply_matrix, \
-    bracket_from_hypersurface, destab_search, lee_ratio, lp_membership_maxmin, \
-    mu_bracket, mu_hypersurface, numerical_identity_check, parse_poly, \
+    bracket_from_hypersurface, destab_search, lee_ratio, mu_bracket, \
+    mu_hypersurface, numerical_identity_check, parse_poly, stability, \
     torus_certificate
 from chowstab.stability import permutation_matrix, primitive_integer_vector
 
@@ -180,18 +180,24 @@ def test_ratio_sign_matches_mu_sign():
 
 # -- separation LP -----------------------------------------------------------------
 
+def _separation_lp(points, c):
+    """max t s.t. <r, p - c> >= t for all points p, sum r = 0, |r_i| <= 1."""
+    shifted = [tuple(a - ci for a, ci in zip(p, c)) for p in points]
+    return stability._box_lp(shifted, [0] * len(c), True)
+
+
 def test_lp_fermat_support_barycenter_interior():
-    res = lp_membership_maxmin([(3, 0, 0), (0, 3, 0), (0, 0, 3)], (1, 1, 1))
+    res = _separation_lp([(3, 0, 0), (0, 3, 0), (0, 0, 3)], (1, 1, 1))
     assert res.t_star == 0
 
 
 def test_lp_single_point_at_center():
-    res = lp_membership_maxmin([(1, 1, 1)], (1, 1, 1))
+    res = _separation_lp([(1, 1, 1)], (1, 1, 1))
     assert res.t_star == 0
 
 
 def test_lp_single_point_separation():
-    res = lp_membership_maxmin([(3, 0, 0)], (1, 1, 1))
+    res = _separation_lp([(3, 0, 0)], (1, 1, 1))
     assert res.t_star == 3  # optimum of 3*r_0 over the box with sum r = 0
     assert sum(res.r_star) == 0
 
@@ -200,7 +206,6 @@ def test_lp_tableau_layout(monkeypatch):
     # Bland's rule picks pivots by column and row index, so the witness and
     # lp_value depend on this exact layout: columns u, v, [t], s, p, q; rows
     # the points, the box rows (u_i + p_i, v_i + q_i), then sum u = sum v.
-    from chowstab import stability
     seen = []
 
     def record(rows, rhs, cost):
@@ -211,7 +216,7 @@ def test_lp_tableau_layout(monkeypatch):
     solve = stability.solve_standard_lp
     monkeypatch.setattr(stability, "solve_standard_lp", record)
     h = Fraction(1, 2)
-    lp_membership_maxmin([(1, 0), (0, 1)], (h, h))
+    _separation_lp([(1, 0), (0, 1)], (h, h))
     #     u0  u1  v0  v1   t  s0  s1  p0  p1  q0  q1
     assert seen.pop() == ([
         [h, -h, -h, h, -1, -1, 0, 0, 0, 0, 0],
@@ -222,7 +227,7 @@ def test_lp_tableau_layout(monkeypatch):
         [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1],
         [1, 1, -1, -1, 0, 0, 0, 0, 0, 0, 0],
     ], [0, 0, 1, 1, 1, 1, 0], [0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0])
-    stability._box_lp([(2, 0), (1, 1)], [0, -1], False, "cone")
+    stability._box_lp([(2, 0), (1, 1)], [0, -1], False)
     #     u0  u1  v0  v1  s0  s1  p0  p1  q0  q1
     assert seen.pop() == ([
         [2, 0, -2, 0, -1, 0, 0, 0, 0, 0],
@@ -233,11 +238,6 @@ def test_lp_tableau_layout(monkeypatch):
         [0, 0, 0, 1, 0, 0, 0, 0, 0, 1],
         [1, 1, -1, -1, 0, 0, 0, 0, 0, 0],
     ], [0, 0, 1, 1, 1, 1, 0], [0, 1, 0, -1, 0, 0, 0, 0, 0, 0])
-
-
-def test_lp_rejects_empty():
-    with pytest.raises(PreconditionError):
-        lp_membership_maxmin([], (1,))
 
 
 # -- torus certificates ---------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from chowstab import FP, QQ, Poly, PreconditionError, SearchBudget, \
     StabilityCertificate, Verdict, WeightVector, apply_matrix, \
-    destab_search, lp_membership_maxmin, parse_poly, torus_certificate
+    destab_search, parse_poly, torus_certificate
 from chowstab import stability
 from chowstab.poly import integer_rank, min_inner_product
 from chowstab.stability import primitive_integer_vector
@@ -28,8 +28,9 @@ from conftest import PRIMES_TO_97, random_coeff, random_exponent, \
 def _oracle_unstable_witness(f):
     d = f.homogeneous_degree
     n1 = f.nvars
-    pts = sorted(f.terms)
-    res = lp_membership_maxmin(pts, [Fraction(d, n1)] * n1)
+    c = Fraction(d, n1)
+    shifted = [tuple(a - c for a in alpha) for alpha in sorted(f.terms)]
+    res = stability._box_lp(shifted, [0] * n1, True)
     if res.t_star <= 0:
         return None, None, res.t_star
     witness = WeightVector(primitive_integer_vector(res.r_star))
@@ -48,7 +49,7 @@ def oracle_torus_certificate(f):
         for sign in (1, -1):
             objective = [0] * n1
             objective[i] = sign
-            res = stability._box_lp(pts, objective, False, "cone")
+            res = stability._box_lp(pts, objective, False)
             if res.t_star > 0:
                 witness = WeightVector(primitive_integer_vector(res.r_star))
                 assert min_inner_product(f, witness.entries) == 0
@@ -243,14 +244,11 @@ def test_stable_verdict_runs_one_lp(monkeypatch):
 
 def test_impossible_witness_failures_raise(monkeypatch):
     cusp = parse_poly("x1^2*x2 - x0^3", 3, QQ)
-    monkeypatch.setattr(stability, "lp_membership_maxmin",
-                        lambda pts, c: stability.LpResult(Fraction(0),
-                                                          [0, 0, 0]))
+    monkeypatch.setattr(stability, "_box_lp",
+                        lambda pts, obj, with_t: stability.LpResult(
+                            Fraction(0), [0, 0, 0]))
     with pytest.raises(PreconditionError):
         torus_certificate(cusp)
-    monkeypatch.setattr(stability, "_box_lp",
-                        lambda pts, obj, with_t, what: stability.LpResult(
-                            Fraction(0), [0, 0, 0]))
     with pytest.raises(PreconditionError):
         torus_certificate(parse_poly("x0*x1*x2", 3, QQ))
 
