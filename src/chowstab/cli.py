@@ -20,15 +20,15 @@ import time
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .cycles import lift_support, multiple_cycle, sum_cycles, transfer_check
+from .cycles import multiple_cycle, sum_cycles
 from .discriminants import cyclic_critical_exponent, discriminant_binary, \
     quartic_st, singular_locus_enumerate, smoothness_binary, sylvester_resultant
 from .errors import ChowstabError, ParseError
-from .fields import FP, ZZ, PrimeFieldElem, domain_from_tag, domain_tag
+from .fields import ZZ, PrimeFieldElem, domain_from_tag, domain_tag
 from .poly import Poly, parse_poly
 from .stability import BracketSupport, SearchBudget, StabilityCertificate, \
     destab_search, lee_ratio, mu_bracket, mu_hypersurface, \
-    numerical_identity_check, torus_certificate, WeightVector
+    torus_certificate, WeightVector
 from .thresholds import INFINITY, blowup_discrepancy, fpt_interval, \
     lct_bound_optimize, lct_upper_bound, lee_verdict
 
@@ -191,7 +191,6 @@ _POLY_OPTIONS = (
 )
 _N = _opt("--n", type=int, required=True)
 _D = _opt("--d", type=int, required=True)
-_R = _opt("--r", required=True, convert=_parse_weights, signed=True)
 _W = _opt("--w", required=True, convert=_parse_int_tuple, signed=True)
 # last in each command's options, where --help lists it (see _at_charts)
 _POINTS = _opt("--points", default=None, signed=True)
@@ -236,11 +235,6 @@ def _lee_ratio(a):
                         "ratio": res.ratio}
 
 
-def _identity_check(a):
-    res = numerical_identity_check(a.poly, a.r)
-    return {"r": a.r}, {"lhs": res.lhs, "mu": res.mu, "residual": res.residual}
-
-
 def _search_destab(a):
     budget = SearchBudget(max_candidates=a.max_candidates,
                           transvection_scalars=a.scalars,
@@ -263,15 +257,6 @@ def _sum(a):
 def _power(a):
     power = multiple_cycle(a.poly, a.m)
     return {"m": a.m}, {"poly": power, "degree": power.homogeneous_degree}
-
-
-def _lift_check(a):
-    report = transfer_check(a.poly, samples=a.samples, seed=a.seed)
-    return ({"samples": a.samples, "seed": a.seed},
-            {"lift": lift_support(a.poly),
-             "support_preserved": report.support_preserved,
-             "all_equal": report.all_equal,
-             "mu_pairs": [list(p) for p in report.mu_pairs]})
 
 
 def _at_charts(a, at_chart, key: str, min_key: str) -> dict:
@@ -349,10 +334,7 @@ def _disc(a):
 
 
 def _quartic_st(a):
-    if a.mod is not None:
-        domain = FP(a.mod)
-    else:
-        domain = domain_from_tag(a.field) if a.field else ZZ
+    domain = domain_from_tag(a.field) if a.field else ZZ
     res = quartic_st(a.coeffs, domain)
     return ({"coeffs": [Fraction(c) for c in a.coeffs],
              "field": domain_tag(domain)},
@@ -389,9 +371,9 @@ COMMANDS = (
                   help="e.g. '{0,1},{0,1};{0,2},{1,3}'"),
              _opt("--r", required=True, signed=True))),
     Command("lee-ratio", "chart-weight ratio against d/(n+1)", _lee_ratio,
-            (_R,), poly=True),
-    Command("identity-check", "exact residual of the weight identity",
-            _identity_check, (_R,), poly=True),
+            (_opt("--r", required=True, convert=_parse_weights,
+                  signed=True),),
+            poly=True),
     Command("certify-torus", "exact diagonal-torus stability verdict",
             lambda a: ({}, _certificate_result(torus_certificate(a.poly))),
             poly=True),
@@ -408,11 +390,6 @@ COMMANDS = (
             (_opt("--poly2", default=None, signed=True),), poly=True),
     Command("power", "Chow form of a multiple (power)", _power,
             (_opt("-m", type=int, required=True),), poly=True),
-    Command("lift-check",
-            "support-preserving lift and weight transfer check", _lift_check,
-            (_opt("--samples", type=int, default=100),
-             _opt("--seed", type=int, required=True)),
-            poly=True),
     Command("lct-bound",
             "weighted upper bound for the threshold at the origin",
             _lct_bound,
@@ -455,7 +432,6 @@ COMMANDS = (
             _quartic_st,
             (_opt("--coeffs", required=True, convert=_parse_rational_csv,
                   signed=True, help="a0,a1,a2,a3,a4"),
-             _opt("--mod", type=int, default=None),
              _opt("--field", default=None))),
     Command("smooth-binary", "exact smoothness of a binary form",
             lambda a: ({}, {"smooth": smoothness_binary(a.poly)}), poly=True),
@@ -561,24 +537,27 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     start = time.perf_counter()
+    # the document is rendered before anything is printed: an integer past
+    # CPython's int-to-str limit raises ValueError here and exits 3
     try:
         inputs, result = _execute(args.spec, args)
+        elapsed_ms = int((time.perf_counter() - start) * 1000)
+        if args.json:
+            doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                   "inputs": inputs, "result": result,
+                   "timing_ms": elapsed_ms if args.timing else 0}
+            text = json.dumps(jsonable(doc), sort_keys=True, indent=2)
+        else:
+            text = _render_human(args.command, result)
     except ParseError as exc:
         print(f"chowstab: parse error: {exc}", file=sys.stderr)
         return 2
     except (ChowstabError, ValueError, OSError) as exc:
         print(f"chowstab: error: {exc}", file=sys.stderr)
         return 3
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    if args.json:
-        doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
-               "inputs": inputs, "result": result,
-               "timing_ms": elapsed_ms if args.timing else 0}
-        print(json.dumps(jsonable(doc), sort_keys=True, indent=2))
-    else:
-        print(_render_human(args.command, result))
-        if args.timing:
-            print(f"timing_ms: {elapsed_ms}", file=sys.stderr)
+    print(text)
+    if args.timing and not args.json:
+        print(f"timing_ms: {elapsed_ms}", file=sys.stderr)
     return 0
 
 

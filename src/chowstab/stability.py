@@ -155,12 +155,6 @@ class LeeRatio(NamedTuple):
     ratio: Fraction
 
 
-class IdentityCheck(NamedTuple):
-    lhs: int
-    mu: int
-    residual: int
-
-
 # -- numerical functions ------------------------------------------------------
 
 
@@ -230,15 +224,6 @@ def lee_ratio(f: Poly, r) -> LeeRatio:
     w_f = min_inner_product(local, _chart_weights(rv))
     sum_wxi = -f.nvars * rv.entries[0]
     return LeeRatio(w_f, sum_wxi, Fraction(w_f, sum_wxi))
-
-
-def numerical_identity_check(f: Poly, r) -> IdentityCheck:
-    """Verify d*sum w(x_I) - (n+1)*w(f) == -(n+1)*mu exactly; residual is 0."""
-    d = _require_nonzero_homogeneous(f)
-    ratio = lee_ratio(f, r)
-    mu = mu_hypersurface(f, r)
-    lhs = d * ratio.sum_wxI - f.nvars * ratio.w_f
-    return IdentityCheck(lhs, mu, lhs + f.nvars * mu)
 
 
 # -- exact linear programming certificates -------------------------------------

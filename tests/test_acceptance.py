@@ -9,10 +9,11 @@ from fractions import Fraction
 
 from chowstab import FP, QQ, Poly, SearchBudget, Verdict, \
     cyclic_critical_exponent, destab_search, discriminant_binary, lee_verdict, \
-    lct_bound_optimize, blowup_discrepancy, fpt_interval, lift_support, \
-    mu_hypersurface, multiple_cycle, numerical_identity_check, parse_poly, \
+    lct_bound_optimize, blowup_discrepancy, fpt_interval, lee_ratio, \
+    lift_support, mu_hypersurface, multiple_cycle, parse_poly, \
     quartic_st_generic, reduce_mod_p, singular_locus_enumerate, \
-    torus_certificate, transfer_check, LeeOutcome
+    torus_certificate, LeeOutcome
+from chowstab.poly import min_inner_product
 
 from conftest import PRIMES_TO_97, brute_force_mu, random_domain, \
     random_homogeneous, random_normalized_weight, random_weight
@@ -73,7 +74,10 @@ def test_criterion_02_chart_weight_identity():
                       for exp in chart.terms)
             mu = brute_force_mu(f, r.entries)
             assert d * sum_wxi - nvars * w_f + nvars * mu == 0
-            assert numerical_identity_check(f, r).residual == 0
+            # the library's sides of the same identity
+            ratio = lee_ratio(f, r)
+            assert (ratio.w_f, ratio.sum_wxI) == (w_f, sum_wxi)
+            assert mu_hypersurface(f, r) == mu
 
 
 def test_criterion_03_torus_certificates():
@@ -145,8 +149,11 @@ def test_criterion_06_support_preserving_transfer():
             lifted = lift_support(f)
             assert lifted.support() == f.support()
             assert reduce_mod_p(lifted, p) == f
-            report = transfer_check(f, samples=100, seed=rng.randrange(10**6))
-            assert report.support_preserved and report.all_equal
+            weights = random.Random(rng.randrange(10**6))
+            for _ in range(100):
+                w = random_weight(weights, f.nvars).entries
+                assert min_inner_product(f, w) == \
+                    min_inner_product(lifted, w)
 
 
 def test_criterion_07_threshold_bounds():

@@ -4,13 +4,14 @@ import argparse
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from chowstab.cli import build_parser, main, read_poly_file, run
+from chowstab.cli import COMMANDS, build_parser, main, read_poly_file, run
 from chowstab.discriminants import ExtensionField
 from chowstab import FP, ParseError, parse_poly
 
@@ -45,7 +46,7 @@ def test_certify_torus_example(capsys):
 
 def test_quartic_st_mod2(capsys):
     doc = _json_result(capsys, ["quartic-st", "--coeffs", "1,1,1,1,1",
-                                "--mod", "2"])
+                                "--field", "fp:2"])
     result = doc["result"]
     assert result["D"] == (result["T"] * result["T"]) % 2
     assert result["T"] == 1  # a0*a3^2 + a1*a2*a3 + a1^2*a4 = 3 = 1 mod 2
@@ -62,10 +63,11 @@ def test_lee_ratio_and_identity(capsys):
     doc = _json_result(capsys, ["lee-ratio", "--nvars", "3", "--field", "q",
                                 "--poly", "x2^3", "--r", "-1,-1,2"])
     assert doc["result"] == {"w_f": 9, "sum_wxI": 3, "ratio": "3"}
-    doc = _json_result(capsys, ["identity-check", "--nvars", "3",
-                                "--field", "q", "--poly", "x2^3",
-                                "--r", "-1,-1,2"])
-    assert doc["result"]["residual"] == 0
+    ratio = doc["result"]
+    doc = _json_result(capsys, ["mu", "--nvars", "3", "--field", "q",
+                                "--poly", "x2^3", "--r", "-1,-1,2"])
+    # d*sum w(x_I) - (n+1)*w(f) == -(n+1)*mu, with d = n+1 = 3
+    assert 3 * ratio["sum_wxI"] - 3 * ratio["w_f"] == -3 * doc["result"]["mu"]
 
 
 def test_search_destab_deterministic_json(capsys):
@@ -116,33 +118,6 @@ def test_sum_and_power(capsys):
     doc = _json_result(capsys, ["power", "--nvars", "2", "--field", "fp:2",
                                 "--poly", "x0+x1", "-m", "2"])
     assert doc["result"]["poly"] == "x0^2 + x1^2"
-
-
-def test_lift_check(capsys):
-    doc = _json_result(capsys, ["lift-check", "--nvars", "2",
-                                "--field", "fp:3", "--poly", "x0^3+2*x1^3",
-                                "--samples", "20", "--seed", "1"])
-    assert doc["result"]["support_preserved"] is True
-    assert doc["result"]["all_equal"] is True
-    assert len(doc["result"]["mu_pairs"]) == 20
-
-
-def test_lift_check_requires_seed(capsys):
-    code, _, _ = _capture(capsys, ["lift-check", "--nvars", "2",
-                                   "--field", "fp:3", "--poly", "x0"])
-    assert code == 2
-
-
-def test_lift_check_rejects_nonpositive_samples(capsys):
-    for samples in ("0", "-5"):
-        code, out, err = _capture(capsys, ["lift-check", "--nvars", "2",
-                                           "--field", "fp:3",
-                                           "--poly", "x0^2+x1^2",
-                                           "--samples", samples,
-                                           "--seed", "1"])
-        assert code == 3
-        assert out == ""
-        assert err == "chowstab: error: samples must be at least 1\n"
 
 
 def test_threshold_commands(capsys):
@@ -259,6 +234,41 @@ def test_infinite_rational_is_a_parse_error(capsys):
     assert doc["inputs"]["bound"] == "inf"
 
 
+def test_retired_commands_and_options_are_usage_errors(capsys):
+    for argv in (["identity-check", "--nvars", "2", "--poly", "x0",
+                  "--r", "-1,1"],
+                 ["lift-check", "--nvars", "2", "--field", "fp:3",
+                  "--poly", "x0", "--seed", "1"]):
+        code, out, err = _capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"invalid choice: '{argv[0]}'" in err
+    code, out, err = _capture(capsys, ["quartic-st", "--coeffs", "1,1,1,1,1",
+                                       "--mod", "2"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --mod 2" in err
+
+
+def test_oversized_integer_is_a_precondition_error(capsys):
+    # CPython refuses to print an int of more than 4300 digits; the document
+    # is rendered before anything is printed, so that is exit 3, not a
+    # traceback, and stdout stays empty
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv in (["cyclic-exponent", "--n", "6000", "--d", "7"],
+                     ["power", "--nvars", "1", "--poly", "2*x0",
+                      "-m", "20000"]):
+            for mode in ([], ["--json"]):
+                code, out, err = _capture(capsys, mode + argv)
+                assert (code, out) == (3, ""), (mode + argv, err)
+                assert err.startswith("chowstab: error: Exceeds the limit "
+                                      "(4300 digits)"), err
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_signed_flag_does_not_take_an_option_as_value(capsys):
     code, out, err = _capture(capsys, ["certify-torus", "--nvars", "2",
                                        "--poly", "--json"])
@@ -312,6 +322,27 @@ def test_module_entry_point_matches_run(capsys, monkeypatch):
             main()
         capsys.readouterr()
         assert exc.value.code == expected
+
+
+# -- README ------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_command_line_matches_the_cli(capsys):
+    section = README.read_text(encoding="utf-8") \
+        .split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)
+                for line in block.replace("\\\n", " ").splitlines()]
+    assert len(examples) == 8
+    for argv in examples:
+        assert argv[0] == "chowstab"
+        code, _, err = _capture(capsys, argv[1:])
+        assert code == 0, (argv, err)
+    listed = re.search(r"^Subcommands: (.*?)\.$", section, re.M | re.S)
+    assert re.findall(r"`([^`]+)`", listed.group(1)) == \
+        [cmd.name for cmd in COMMANDS]
 
 
 # -- polynomial files --------------------------------------------------------------

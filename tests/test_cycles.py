@@ -6,8 +6,8 @@ import pytest
 
 from chowstab import FP, QQ, ZZ, Poly, PreconditionError, Verdict, \
     lift_support, mu_hypersurface, multiple_cycle, parse_poly, reduce_mod_p, \
-    sum_cycles, torus_certificate, transfer_check
-from chowstab import cycles
+    sum_cycles, torus_certificate
+from chowstab.poly import min_inner_product
 
 from conftest import PRIMES_TO_97, random_domain, random_homogeneous, \
     random_weight
@@ -139,41 +139,44 @@ def test_lift_rejects_wrong_domain_and_zero():
         lift_support(Poly.zero(2, FP(3)))
 
 
+def _transfer_samples(f, samples: int, seed: int, bound: int = 5) -> list:
+    """(weights, mu of f, mu of its lift) on seeded zero-sum weights with
+    entries in [-bound, bound]; mu depends only on the support, so the two
+    minima agree whenever the lift keeps the support."""
+    rng = random.Random(seed)
+    lifted = lift_support(f)
+    triples = []
+    for _ in range(samples):
+        w = random_weight(rng, f.nvars, bound).entries
+        triples.append((w, min_inner_product(f, w),
+                        min_inner_product(lifted, w)))
+    return triples
+
+
 def test_transfer_check_all_equal():
     f = parse_poly("x0^2*x1 + 2*x1^2*x2 + x2^3", 3, FP(3))
-    report = transfer_check(f, samples=100, seed=42)
-    assert report.support_preserved
-    assert report.all_equal
-    assert len(report.mu_pairs) == 100
+    lifted = lift_support(f)
+    assert lifted.support() == f.support()
+    assert reduce_mod_p(lifted, 3) == f
+    triples = _transfer_samples(f, samples=100, seed=42)
+    assert len(triples) == 100
+    assert all(a == b for _, a, b in triples)
 
 
-def test_transfer_check_rejects_empty_sample():
-    # with no samples all_equal would be true of nothing at all
-    f = parse_poly("x0^2 + x1^2", 2, FP(3))
-    for samples in (0, -5):
-        with pytest.raises(PreconditionError, match="samples"):
-            transfer_check(f, samples=samples, seed=1)
-    assert len(transfer_check(f, samples=1, seed=1).mu_pairs) == 1
-
-
-def test_transfer_check_samples_within_the_weight_bound(monkeypatch):
+def test_transfer_check_samples_within_the_weight_bound():
     f = parse_poly("x0^2*x1 + 2*x1^2*x2 + x2^3", 3, FP(3))
-    entries = [r for w in transfer_check(f, samples=100, seed=42)
-               .sampled_weights for r in w.entries]
-    assert max(map(abs, entries)) == 5
-    monkeypatch.setattr(cycles, "_WEIGHT_BOUND", 1)
-    report = transfer_check(f, samples=100, seed=42)
-    assert report.all_equal
-    entries = [r for w in report.sampled_weights for r in w.entries]
-    assert max(map(abs, entries)) == 1
+    for bound in (5, 1):
+        triples = _transfer_samples(f, samples=100, seed=42, bound=bound)
+        assert all(a == b for _, a, b in triples)
+        assert max(abs(r) for w, _, _ in triples for r in w) == bound
 
 
 def test_transfer_check_power_stays_in_characteristic():
     # squaring happens per characteristic: the mod-2 square keeps transferring
     f = parse_poly("x0 + x1", 2, FP(2))
     sq = multiple_cycle(f, 2)
-    report = transfer_check(sq, samples=50, seed=7)
-    assert report.all_equal
+    triples = _transfer_samples(sq, samples=50, seed=7)
+    assert all(a == b for _, a, b in triples)
     assert lift_support(sq).support() == {(2, 0), (0, 2)}
 
 

@@ -11,8 +11,7 @@ import pytest
 from chowstab import FP, QQ, BracketSupport, Poly, PreconditionError, \
     SearchBudget, StabilityCertificate, Verdict, WeightVector, apply_matrix, \
     bracket_from_hypersurface, destab_search, lee_ratio, mu_bracket, \
-    mu_hypersurface, numerical_identity_check, parse_poly, stability, \
-    torus_certificate
+    mu_hypersurface, parse_poly, stability, torus_certificate
 from chowstab.stability import permutation_matrix, primitive_integer_vector
 
 from conftest import brute_force_mu, random_domain, random_homogeneous, \
@@ -146,13 +145,18 @@ def test_lee_ratio_rejects_unordered_weights():
         lee_ratio(f, (2, -1, -1))
 
 
+def _identity_sides(f, r) -> tuple:
+    """(d*sum w(x_I) - (n+1)*w(f), mu): the identity says lhs == -(n+1)*mu."""
+    ratio = lee_ratio(f, r)
+    lhs = f.homogeneous_degree * ratio.sum_wxI - f.nvars * ratio.w_f
+    return lhs, mu_hypersurface(f, r)
+
+
 def test_identity_examples():
     fermat = parse_poly("x0^3+x1^3+x2^3", 3, QQ)
-    check = numerical_identity_check(fermat, (-1, 0, 1))
-    assert (check.lhs, check.mu, check.residual) == (9, -3, 0)
+    assert _identity_sides(fermat, (-1, 0, 1)) == (9, -3)
     axis = parse_poly("x2^3", 3, QQ)
-    check = numerical_identity_check(axis, (-1, -1, 2))
-    assert (check.lhs, check.mu, check.residual) == (-18, 6, 0)
+    assert _identity_sides(axis, (-1, -1, 2)) == (-18, 6)
 
 
 def test_identity_random_exact():
@@ -162,7 +166,8 @@ def test_identity_random_exact():
         f = random_homogeneous(rng, nvars, rng.randrange(1, 6),
                                rng.randrange(1, 12), random_domain(rng))
         r = random_normalized_weight(rng, nvars)
-        assert numerical_identity_check(f, r).residual == 0
+        lhs, mu = _identity_sides(f, r)
+        assert lhs == -nvars * mu
 
 
 def test_ratio_sign_matches_mu_sign():
